@@ -6,7 +6,8 @@ file of ``key = value`` lines ('#' starts a comment); precedence is defaults,
 then config file, then command-line flags. Unknown config keys are rejected
 before any computation starts.
 
-Exit codes: 0 success, 1 internal error, 2 bad input, 3 numerical failure.
+Exit codes: 0 success, 1 internal error, 2 bad input, 3 numerical failure
+(a diverged solver, or LAPACK not converging).
 Output files are written to a temporary file and renamed into place, so a
 failing command never leaves partial outputs behind.
 
@@ -131,13 +132,13 @@ def _validate_threads(threads):
 _TRAIN_KEYS = {
     "h": int, "m": int, "patches": int, "lam": float, "mu": float,
     "sweeps": int, "admm_tol": float, "max_admm_iters": int,
-    "max_fos_iters": int, "cosupport_tol": float, "seed": int, "threads": int,
+    "cosupport_tol": float, "seed": int, "threads": int,
 }
 
 _TRAIN_DEFAULTS = {
     "h": 64, "m": 49, "patches": 10_000, "lam": 0.1, "mu": 1.0,
     "sweeps": 20, "admm_tol": 1e-6, "max_admm_iters": 1000,
-    "max_fos_iters": 50, "cosupport_tol": 1e-3, "seed": 0, "threads": 1,
+    "cosupport_tol": 1e-3, "seed": 0, "threads": 1,
 }
 
 
@@ -191,8 +192,7 @@ def cmd_train(ns):
     try:
         cfg = TrainConfig(
             lam=cfgv["lam"], mu=cfgv["mu"],
-            max_admm_iters=cfgv["max_admm_iters"],
-            max_fos_iters=cfgv["max_fos_iters"], admm_tol=cfgv["admm_tol"],
+            max_admm_iters=cfgv["max_admm_iters"], admm_tol=cfgv["admm_tol"],
             cosupport_tol=cfgv["cosupport_tol"], sweeps=cfgv["sweeps"],
             seed=cfgv["seed"],
         )
@@ -201,11 +201,7 @@ def cmd_train(ns):
     Y = _sample_training_patches(images, n, cfgv["patches"], cfgv["seed"])
     operator, report = train(Y, cfg, cfgv["h"])
 
-    lines = [f"# analysis-operator h={operator.h} m={operator.m}",
-             f"{operator.h} {operator.m}"]
-    for row in operator.matrix:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
-    _atomic_write(ns.out, "\n".join(lines) + "\n")
+    _atomic_write(ns.out, operator.to_text())
 
     print(f"operator={ns.out}")
     print(f"h={operator.h}")
@@ -227,14 +223,14 @@ def cmd_train(ns):
 _FUSE_KEYS = {
     "epsilon": float, "lambda_local": float, "lambda_global": float,
     "n": int, "p": int, "mu": float, "admm_tol": float,
-    "max_admm_iters": int, "max_fos_iters": int, "global_rounds": int,
+    "max_admm_iters": int, "global_rounds": int,
     "sigma": float, "seed": int, "threads": int,
 }
 
 _FUSE_DEFAULTS = {
     "epsilon": 0.1, "lambda_local": 0.05, "lambda_global": 0.02,
     "n": 7, "p": 1, "mu": 1.0, "admm_tol": 1e-6,
-    "max_admm_iters": 1000, "max_fos_iters": 50, "global_rounds": 3,
+    "max_admm_iters": 1000, "global_rounds": 3,
     "sigma": 0.0, "seed": 0, "threads": 1,
 }
 
@@ -246,7 +242,6 @@ def _fusion_config(cfgv):
             lambda_global=cfgv["lambda_global"], patch_size=cfgv["n"],
             overlap=cfgv["p"], mu=cfgv["mu"], admm_tol=cfgv["admm_tol"],
             max_admm_iters=cfgv["max_admm_iters"],
-            max_fos_iters=cfgv["max_fos_iters"],
             global_rounds=cfgv["global_rounds"],
         )
     except ValueError as exc:
@@ -349,14 +344,14 @@ _SWEEP_KEYS = {
     "sigma_b": float, "split": int, "train_patches": int, "train_sweeps": int,
     "lam": float, "lambda_local": float, "lambda_global": float,
     "epsilon": float, "mu": float, "admm_tol": float, "max_admm_iters": int,
-    "max_fos_iters": int, "global_rounds": int, "seed": int, "threads": int,
+    "global_rounds": int, "seed": int, "threads": int,
 }
 
 _SWEEP_DEFAULTS = {
     "sigma_b": 2.0, "split": 0, "train_patches": 2000, "train_sweeps": 5,
     "lam": 0.1, "lambda_local": 0.05, "lambda_global": 0.02,
     "epsilon": 0.1, "mu": 1.0, "admm_tol": 1e-6, "max_admm_iters": 1000,
-    "max_fos_iters": 50, "global_rounds": 3, "seed": 0, "threads": 1,
+    "global_rounds": 3, "seed": 0, "threads": 1,
 }
 
 
@@ -375,8 +370,7 @@ def cmd_sweep(ns):
                                      (cfgv["seed"], n))
         tcfg = TrainConfig(
             lam=cfgv["lam"], mu=cfgv["mu"],
-            max_admm_iters=cfgv["max_admm_iters"],
-            max_fos_iters=cfgv["max_fos_iters"], admm_tol=cfgv["admm_tol"],
+            max_admm_iters=cfgv["max_admm_iters"], admm_tol=cfgv["admm_tol"],
             sweeps=cfgv["train_sweeps"], seed=cfgv["seed"],
         )
         operator, _ = train(Y, tcfg, h)
@@ -395,7 +389,6 @@ def cmd_sweep(ns):
                 patch_size=n, overlap=1,
                 mu=cfgv["mu"], admm_tol=cfgv["admm_tol"],
                 max_admm_iters=cfgv["max_admm_iters"],
-                max_fos_iters=cfgv["max_fos_iters"],
                 global_rounds=cfgv["global_rounds"],
             )
             result = fuse_images([a, b], operator, fcfg)
@@ -433,7 +426,7 @@ def build_parser():
     p = sub.add_parser("train", help="learn an analysis operator from images")
     p.add_argument("--images", required=True, help="directory of .pgm images")
     p.add_argument("--out", required=True, help="output operator file")
-    for key in ("h", "m", "patches", "sweeps", "max_admm_iters", "max_fos_iters"):
+    for key in ("h", "m", "patches", "sweeps", "max_admm_iters"):
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
     for key in ("lam", "mu", "admm_tol", "cosupport_tol"):
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
@@ -448,7 +441,7 @@ def build_parser():
     p.add_argument("--winner-map", dest="winner_map")
     p.add_argument("--activity", dest="activity")
     p.add_argument("--diagnostics", dest="diagnostics")
-    for key in ("n", "p", "max_admm_iters", "max_fos_iters", "global_rounds"):
+    for key in ("n", "p", "max_admm_iters", "global_rounds"):
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
     for key in ("epsilon", "lambda_local", "lambda_global", "mu",
                 "admm_tol", "sigma"):
@@ -478,7 +471,7 @@ def build_parser():
     p.add_argument("--truth", required=True, help="ground-truth .pgm image")
     p.add_argument("--out", required=True, help="output CSV path")
     for key in ("split", "train_patches", "train_sweeps", "max_admm_iters",
-                "max_fos_iters", "global_rounds"):
+                "global_rounds"):
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
     for key in ("sigma_b", "lam", "lambda_local", "lambda_global", "epsilon",
                 "mu", "admm_tol"):
@@ -501,7 +494,7 @@ def main(argv=None):
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NumericalFailure as exc:
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except Exception as exc:  # pragma: no cover - defensive

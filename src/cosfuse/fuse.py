@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .learn import TrainConfig, cosparse_code_many
-from .linalg import spectral_norm_sq
+from .linalg import spectral_norm_sq  # unused; bench/tracing.py wraps this attribute
 from .patches import Patch, build_grid, extract_matrix, overlap_add_matrix
 
 __all__ = [
@@ -58,7 +58,6 @@ class FusionConfig:
     mu: float = 1.0
     admm_tol: float = 1e-6
     max_admm_iters: int = 1000
-    max_fos_iters: int = 50
     global_rounds: int = 3
 
     def __post_init__(self):
@@ -70,8 +69,8 @@ class FusionConfig:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.admm_tol <= 0:
             raise ValueError("admm_tol must be positive")
-        if self.max_admm_iters < 1 or self.max_fos_iters < 1:
-            raise ValueError("iteration limits must be at least 1")
+        if self.max_admm_iters < 1:
+            raise ValueError("max_admm_iters must be at least 1")
         if not 0 <= self.overlap < self.patch_size:
             raise ValueError(
                 f"overlap must satisfy 0 <= p < n, got p={self.overlap}, "
@@ -85,7 +84,6 @@ class FusionConfig:
             lam=lam,
             mu=self.mu,
             max_admm_iters=self.max_admm_iters,
-            max_fos_iters=self.max_fos_iters,
             admm_tol=self.admm_tol,
         )
 
@@ -177,9 +175,8 @@ def local_fuse(op, images, cfg):
         P_win[:, mask] = candidates[k][:, mask]
     means = P_win.mean(axis=0)
 
-    L = 1.0 + cfg.mu * spectral_norm_sq(W)
     X, _, _, _, _ = cosparse_code_many(
-        op, P_win - means, cfg._coding_config(cfg.lambda_local), L=L,
+        op, P_win - means, cfg._coding_config(cfg.lambda_local),
     )
     estimate = overlap_add_matrix(X + means, grid) * _PIXEL_SCALE
 
@@ -220,7 +217,6 @@ def _global_impl(op, initial, cfg):
     def objective(img):
         return float(np.sum((img - I0) ** 2)) + lam * _patchwise_l1(W, img, grid)
 
-    L = 1.0 + cfg.mu * spectral_norm_sq(W)
     coding_cfg = cfg._coding_config(lam)
     blend = 1.0 / (1.0 + lam)
     best = I0
@@ -231,7 +227,7 @@ def _global_impl(op, initial, cfg):
     for _ in range(cfg.global_rounds):
         P = extract_matrix(current, grid)
         means = P.mean(axis=0)
-        X, _, _, _, _ = cosparse_code_many(op, P - means, coding_cfg, L=L)
+        X, _, _, _, _ = cosparse_code_many(op, P - means, coding_cfg)
         smoothed = overlap_add_matrix(X + means, grid)
         candidate = blend * I0 + (1.0 - blend) * smoothed
         cand_obj = objective(candidate)

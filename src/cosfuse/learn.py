@@ -7,14 +7,16 @@ columns):
   ``0.5 * ||x - y||^2 + lam * ||W x||_1`` over x, where W is the current
   operator. The l1 term is split off with an auxiliary variable v = W x and
   the problem is solved by ADMM with scaled multipliers d. The x-subproblem
-  is a strongly convex quadratic; it is handled by plain gradient descent
-  with fixed step 1/L, L = 1 + mu * ||W||_2^2 (a Lipschitz constant of the
-  full smooth term). The v-subproblem is soft thresholding at lam/mu.
+  is a strongly convex quadratic with the fixed matrix A = I + mu * W^T W;
+  A is inverted once per coding call, and each ADMM iteration solves the
+  x-subproblem exactly as the correction x -= A^-1 (A x - b). The
+  v-subproblem is soft thresholding at lam/mu.
 * row update: for each operator row w, collect the coded columns nearly
   orthogonal to it and replace w with the unit vector minimizing the summed
   squared inner products against the corresponding training columns, i.e.
-  the smallest eigenvector of the Gram matrix of that column subset. Rows
-  whose orthogonal set is empty are re-initialized at random.
+  the smallest eigenvector (LAPACK ``eigh``) of the Gram matrix of that
+  column subset. Rows whose orthogonal set is empty are re-initialized at
+  random.
 
 All randomness is derived from explicit seeds (numpy PCG64), so training is
 bit-reproducible.
@@ -29,9 +31,9 @@ import numpy as np
 from .linalg import (
     gram,
     load_matrix_text,
-    save_matrix_text,
+    matrix_text,
     soft_threshold,
-    spectral_norm_sq,
+    spectral_norm_sq,  # unused; bench/tracing.py wraps this attribute
     sym_eig,
     sym_eig_smallest,
 )
@@ -97,9 +99,16 @@ class AnalysisOperator:
     def m(self):
         return self.matrix.shape[1]
 
+    def to_text(self):
+        """The operator file contents: the matrix text format with an
+        ``analysis-operator h=.. m=..`` comment line."""
+        return matrix_text(self.matrix,
+                           comments=[f"analysis-operator h={self.h} m={self.m}"])
+
     def save(self, path):
-        save_matrix_text(path, self.matrix,
-                         comments=[f"analysis-operator h={self.h} m={self.m}"])
+        text = self.to_text()
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
 
     @classmethod
     def load(cls, path):
@@ -114,7 +123,6 @@ class TrainConfig:
     lam: float = 0.1
     mu: float = 1.0
     max_admm_iters: int = 1000
-    max_fos_iters: int = 50
     admm_tol: float = 1e-6
     cosupport_tol: float = 1e-3
     r: int | None = None  # target signal rank, diagnostic bookkeeping only
@@ -128,8 +136,8 @@ class TrainConfig:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.admm_tol <= 0 or self.cosupport_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_admm_iters < 1 or self.max_fos_iters < 1:
-            raise ValueError("iteration limits must be at least 1")
+        if self.max_admm_iters < 1:
+            raise ValueError("max_admm_iters must be at least 1")
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be at least 1, got {self.sweeps}")
         if self.seed < 0:
@@ -166,7 +174,7 @@ def init_operator(h, m, seed):
     return AnalysisOperator(M)
 
 
-def _code_batch(W, Y, lam, mu, max_admm_iters, max_fos_iters, admm_tol, L=None):
+def _code_batch(W, Y, lam, mu, max_admm_iters, admm_tol):
     """ADMM cosparse coding of every column of Y against operator W.
 
     Returns (X, V, D, primal residuals, iterations used). Columns are frozen
@@ -177,11 +185,11 @@ def _code_batch(W, Y, lam, mu, max_admm_iters, max_fos_iters, admm_tol, L=None):
     if Y.shape[0] != m:
         raise ValueError(f"signals have dimension {Y.shape[0]}, operator expects {m}")
     n_cols = Y.shape[1]
-    with np.errstate(over="ignore"):
-        if L is None:
-            L = 1.0 + mu * spectral_norm_sq(W)
-        step = 1.0 / L
+    # With an overflowing mu, A and its inverse hold junk; the finiteness
+    # check on the x-step gradient below reports the failure.
+    with np.errstate(over="ignore", invalid="ignore"):
         A = np.eye(m) + mu * (W.T @ W)
+        A_inv = np.linalg.inv(A)
         tau = lam / mu
 
     X = Y.copy()
@@ -199,15 +207,13 @@ def _code_batch(W, Y, lam, mu, max_admm_iters, max_fos_iters, admm_tol, L=None):
         with np.errstate(over="ignore", invalid="ignore"):
             B = Y[:, act] + mu * (W.T @ (V[:, act] + D[:, act]))
             G = A @ Xa - B
-            for _ in range(max_fos_iters):
-                norms = np.sqrt(np.sum(G * G, axis=0))
-                if not np.all(np.isfinite(norms)):
-                    raise NumericalFailure("cosparse coding diverged", t)
-                live = norms > admm_tol
-                if not live.any():
-                    break
-                Xa[:, live] -= step * G[:, live]
-                G[:, live] = A @ Xa[:, live] - B[:, live]
+            norms = np.sqrt(np.sum(G * G, axis=0))
+            if not np.all(np.isfinite(norms)):
+                raise NumericalFailure("cosparse coding diverged", t)
+            # Columns whose x-step gradient is already negligible are left
+            # untouched, which keeps lam = 0 returning the signal exactly.
+            live = norms > admm_tol
+            Xa[:, live] -= A_inv @ G[:, live]
         if not np.all(np.isfinite(Xa)):
             raise NumericalFailure("cosparse coding diverged", t)
         WX = W @ Xa
@@ -230,8 +236,7 @@ def cosparse_code(op, y, cfg):
     if not np.all(np.isfinite(y)):
         raise ValueError("signal contains non-finite entries")
     X, V, D, residual, iterations = _code_batch(
-        op.matrix, y[:, None], cfg.lam, cfg.mu,
-        cfg.max_admm_iters, cfg.max_fos_iters, cfg.admm_tol,
+        op.matrix, y[:, None], cfg.lam, cfg.mu, cfg.max_admm_iters, cfg.admm_tol,
     )
     return AdmmState(
         x=X[:, 0],
@@ -242,7 +247,7 @@ def cosparse_code(op, y, cfg):
     )
 
 
-def cosparse_code_many(op, Y, cfg, L=None):
+def cosparse_code_many(op, Y, cfg):
     """Code every column of Y; returns (X, V, D, residuals, iterations)."""
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
@@ -250,8 +255,7 @@ def cosparse_code_many(op, Y, cfg, L=None):
     if not np.all(np.isfinite(Y)):
         raise ValueError("Y contains non-finite entries")
     return _code_batch(
-        op.matrix, Y, cfg.lam, cfg.mu,
-        cfg.max_admm_iters, cfg.max_fos_iters, cfg.admm_tol, L=L,
+        op.matrix, Y, cfg.lam, cfg.mu, cfg.max_admm_iters, cfg.admm_tol,
     )
 
 
@@ -341,8 +345,7 @@ def train(Y, cfg, h):
     reinit_rng = np.random.default_rng((cfg.seed, 0x9E3779B9))
     report = TrainReport()
     for _ in range(cfg.sweeps):
-        L = 1.0 + cfg.mu * spectral_norm_sq(op.matrix)
-        X, _, _, _, _ = cosparse_code_many(op, Y, cfg, L=L)
+        X, _, _, _, _ = cosparse_code_many(op, Y, cfg)
         analyzed = op.matrix @ X
         report.objective_per_sweep.append(
             0.5 * float(np.sum((X - Y) ** 2)) + cfg.lam * float(np.abs(analyzed).sum())

@@ -2,9 +2,9 @@
 
 Matrices and vectors are plain numpy float64 arrays (row-major). The few
 routines here are exactly what the coding and row-update stages need:
-soft thresholding, Gram products, a cyclic Jacobi eigensolver for small
-symmetric matrices, and a power-iteration estimate of the squared spectral
-norm used for gradient step sizes.
+soft thresholding, Gram products, a symmetric eigensolver (LAPACK ``eigh``
+behind an input check), a power-iteration estimate of the squared spectral
+norm, and the matrix text format.
 """
 
 from __future__ import annotations
@@ -17,15 +17,11 @@ __all__ = [
     "sym_eig",
     "sym_eig_smallest",
     "spectral_norm_sq",
+    "matrix_text",
     "save_matrix_text",
     "load_matrix_text",
     "MatrixFormatError",
 ]
-
-# Jacobi convergence: off-diagonal Frobenius norm relative to the input norm.
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
-
 
 class MatrixFormatError(ValueError):
     """Raised when a matrix text file cannot be parsed."""
@@ -81,82 +77,14 @@ def _check_symmetric(S):
     return S
 
 
-def _round_robin_pairs(n):
-    """Cyclic ordering of all index pairs as n-1 rounds of disjoint pairs."""
-    players = list(range(n)) + ([-1] if n % 2 else [])
-    m = len(players)
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = players[i], players[m - 1 - i]
-            if a < 0 or b < 0:
-                continue
-            ps.append(min(a, b))
-            qs.append(max(a, b))
-        rounds.append((np.array(ps), np.array(qs)))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
-
-
 def sym_eig(S):
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
-    Each sweep visits every off-diagonal pair exactly once in a round-robin
-    ordering, so the disjoint rotations of one round are applied vectorized.
-    Convergence: off-diagonal Frobenius norm <= 1e-12 * ||S||_F, at most 100
-    sweeps. Returns (eigenvalues ascending, eigenvectors as matching
-    columns). Intended for the small (tens of rows) matrices used here.
+    Returns (eigenvalues ascending, orthonormal eigenvectors as matching
+    columns). Raises ``numpy.linalg.LinAlgError`` if LAPACK does not
+    converge.
     """
-    S = _check_symmetric(S)
-    n = S.shape[0]
-    V = np.eye(n)
-    if n == 1:
-        return np.array([S[0, 0]]), V
-    A = S.copy()
-    fro = np.linalg.norm(S)
-    if fro == 0.0:
-        return np.zeros(n), V
-    thresh = _JACOBI_TOL * fro
-    # Rotations below this size are skipped within a sweep; the sweep-level
-    # check still guarantees the global threshold is met before returning.
-    skip = thresh / n
-    rounds = _round_robin_pairs(n)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.sqrt(max(np.sum(A * A) - np.sum(np.diag(A) ** 2), 0.0))
-        if off <= thresh:
-            break
-        for ps, qs in rounds:
-            apq = A[ps, qs]
-            live = np.abs(apq) > skip
-            if not live.any():
-                continue
-            safe = np.where(live, apq, 1.0)
-            theta = (A[qs, qs] - A[ps, ps]) / (2.0 * safe)
-            t = np.where(theta >= 0.0, 1.0, -1.0) / (
-                np.abs(theta) + np.sqrt(theta * theta + 1.0)
-            )
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            c = np.where(live, c, 1.0)
-            s = np.where(live, s, 0.0)
-            col_p = A[:, ps].copy()
-            col_q = A[:, qs].copy()
-            A[:, ps] = c * col_p - s * col_q
-            A[:, qs] = s * col_p + c * col_q
-            row_p = A[ps, :].copy()
-            row_q = A[qs, :].copy()
-            A[ps, :] = c[:, None] * row_p - s[:, None] * row_q
-            A[qs, :] = s[:, None] * row_p + c[:, None] * row_q
-            A[ps, qs] = 0.0
-            A[qs, ps] = 0.0
-            vec_p = V[:, ps].copy()
-            vec_q = V[:, qs].copy()
-            V[:, ps] = c * vec_p - s * vec_q
-            V[:, qs] = s * vec_p + c * vec_q
-    w = np.diag(A).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
+    return np.linalg.eigh(_check_symmetric(S))
 
 
 def sym_eig_smallest(S):
@@ -166,9 +94,7 @@ def sym_eig_smallest(S):
     minimizing eigenvector may be returned.
     """
     w, V = sym_eig(S)
-    vec = V[:, 0]
-    nrm = np.linalg.norm(vec)
-    return float(w[0]), vec / nrm
+    return float(w[0]), V[:, 0]
 
 
 def spectral_norm_sq(M):
@@ -205,16 +131,22 @@ def spectral_norm_sq(M):
     return float(w_all[-1])
 
 
-def save_matrix_text(path, M, comments=()):
-    """Write a matrix in the text format: optional '#' comment lines, then a
+def matrix_text(M, comments=()):
+    """A matrix in the text format: optional '#' comment lines, then a
     "rows cols" line, then one line of 17-significant-digit reals per row."""
     M = _as_matrix(M)
     lines = [f"# {c}" for c in comments]
     lines.append(f"{M.shape[0]} {M.shape[1]}")
     for row in M:
         lines.append(" ".join(f"{x:.17g}" for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def save_matrix_text(path, M, comments=()):
+    """Write :func:`matrix_text` of ``M`` to ``path``."""
+    text = matrix_text(M, comments)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def load_matrix_text(path):

@@ -49,12 +49,15 @@ def _fuse_args(workdir, out, extra=()):
 # ---------------------------------------------------------------------------
 # train
 
-def test_train_writes_operator_with_header(workdir):
+def test_train_writes_operator_with_header(workdir, tmp_path):
     text = open(workdir["op"]).read().splitlines()
     assert text[0] == "# analysis-operator h=64 m=49"
     assert text[1] == "64 49"
     op = AnalysisOperator.load(workdir["op"])
     assert (op.h, op.m) == (64, 49)
+    resaved = tmp_path / "resaved.txt"
+    op.save(resaved)
+    assert workdir["op"].read_bytes() == resaved.read_bytes()
 
 
 def test_train_deterministic_output(workdir, tmp_path):
@@ -77,6 +80,18 @@ def test_train_numerical_failure_exits_3(workdir, tmp_path):
     rc = main(["train", "--images", str(workdir["imgdir"]),
                "--out", str(tmp_path / "op.txt"), "--h", "16", "--m", "9",
                "--patches", "50", "--sweeps", "1", "--mu", "1e308"])
+    assert rc == EXIT_NUMERIC
+    assert not (tmp_path / "op.txt").exists()
+
+
+def test_train_eigensolver_failure_exits_3(workdir, tmp_path, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    rc = main(["train", "--images", str(workdir["imgdir"]),
+               "--out", str(tmp_path / "op.txt"), "--h", "16", "--m", "9",
+               "--patches", "50", "--sweeps", "1"])
     assert rc == EXIT_NUMERIC
     assert not (tmp_path / "op.txt").exists()
 

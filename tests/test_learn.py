@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import make_planted_clusters
-from cosfuse import learn
-from cosfuse.linalg import soft_threshold
+from cosfuse import imageio, learn
+from cosfuse.cli import _sample_training_patches
+from cosfuse.linalg import gram, soft_threshold, sym_eig_smallest
 
 
 def _objective(W, x, y, lam):
@@ -253,6 +254,25 @@ def test_update_row_empty_set_reinitializes():
     X = np.ones((4, 8)) * 100  # no scores near zero
     row = learn.update_row(op, 2, Y, X, learn.TrainConfig(cosupport_tol=1e-12))
     assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_update_row_eigensolves_converge_on_training_grams(texture_128, cartoon_128):
+    # The row-update Gram matrices of `cosfuse train` on the texture and
+    # cartoon images (read back from PGM, 5x5 patches, h = 33, seed 0) are
+    # singular, and a solver that stops at an iteration cap returns some of
+    # them unconverged.
+    images = [imageio.read_pgm(imageio.write_pgm(img))
+              for img in (cartoon_128, texture_128)]
+    Y = _sample_training_patches(images, 5, 600, 0)
+    op = learn.init_operator(33, 25, 0)
+    cfg = learn.TrainConfig()
+    X, _, _, _, _ = learn.cosparse_code_many(op, Y, cfg)
+    for j in range(op.h):
+        J = np.flatnonzero(np.abs(op.matrix[j] @ X) <= cfg.cosupport_tol)
+        assert J.size > 0
+        S = gram(Y[:, J])
+        lam, vec = sym_eig_smallest(S)
+        assert np.linalg.norm(S @ vec - lam * vec) <= 1e-12 * np.linalg.norm(S)
 
 
 def test_update_row_rejects_bad_index():

@@ -180,7 +180,7 @@ def test_spectral_norm_sq_diagonal():
 
 
 def test_spectral_norm_sq_matches_jacobi_on_gram():
-    # Oracle route: full Jacobi eigensolve of the explicit Gram matrix.
+    # Oracle route: full dense (LAPACK) eigensolve of the explicit Gram matrix.
     rng = np.random.default_rng(21)
     for _ in range(5):
         M = rng.standard_normal((10, 7))
