@@ -14,40 +14,13 @@ import sys
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tests")]
 
+from conftest import make_texture  # noqa: E402
 from cosfuse import imageio, metrics  # noqa: E402
 from cosfuse.fuse import FusionConfig, fuse  # noqa: E402
-from cosfuse.learn import TrainConfig, train  # noqa: E402
-
-
-def make_texture(width, height, seed=0):
-    yy, xx = np.mgrid[0:height, 0:width].astype(float)
-    img = (128.0
-           + 52.0 * np.sin(0.35 * xx) * np.sin(0.41 * yy)
-           + 45.0 * np.sign(np.sin(0.55 * xx + 0.31 * yy))
-           + 28.0 * np.cos(1.4 * xx - 0.5 * yy))
-    rng = np.random.default_rng(seed)
-    img = img + imageio.gaussian_blur(rng.uniform(-35, 35, (height, width)), 1.0)
-    return np.clip(img, 0.0, 255.0)
-
-
-def sample_patches(image, n, count, seed):
-    rng = np.random.default_rng(seed)
-    m = n * n
-    Y = np.empty((m, count))
-    i = 0
-    while i < count:
-        top = int(rng.integers(image.shape[0] - n + 1))
-        left = int(rng.integers(image.shape[1] - n + 1))
-        block = image[top:top + n, left:left + n].reshape(m) / 255.0
-        block = block - block.mean()
-        norm = np.linalg.norm(block)
-        if norm < 1e-8:
-            continue
-        Y[:, i] = block / norm
-        i += 1
-    return Y
+from cosfuse.learn import TrainConfig, sample_training_patches, train  # noqa: E402
 
 
 def main():
@@ -69,7 +42,7 @@ def main():
         right = imageio.add_gaussian_noise(right, args.sigma, (args.seed, 1))
 
     print(f"training operator on {args.patches} patches ...")
-    Y = sample_patches(truth, 7, args.patches, args.seed + 1)
+    Y = sample_training_patches([truth], 7, args.patches, args.seed + 1)
     operator, report = train(
         Y, TrainConfig(lam=0.1, sweeps=args.sweeps, max_admm_iters=300,
                        seed=args.seed + 2), h=64)

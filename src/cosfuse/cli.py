@@ -1,10 +1,14 @@
 """Command-line frontend.
 
 Subcommands: train, fuse, synth, eval, sweep. Every command is deterministic
-given identical flags, files, and seed. Options can also come from a config
-file of ``key = value`` lines ('#' starts a comment); precedence is defaults,
-then config file, then command-line flags. Unknown config keys are rejected
-before any computation starts.
+given identical flags, files, and seed. The options of train, fuse and sweep
+are the fields of ``TrainConfig``/``FusionConfig``, with each field's type
+and default, plus a few command-only keys (such as ``h``, ``sigma``,
+``seed``); fuse spells ``patch_size`` and ``overlap`` as ``n`` and ``p``.
+Each option is a ``--key`` flag and a ``key = value`` line of the file given
+by ``--config`` ('#' starts a comment); precedence is defaults, then config
+file, then command-line flags. Unknown config keys are rejected before any
+computation starts.
 
 Exit codes: 0 success, 1 internal error, 2 bad input, 3 numerical failure
 (a diverged solver, or LAPACK not converging).
@@ -19,6 +23,8 @@ results are independent of the requested thread count.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import math
 import os
 import sys
@@ -29,7 +35,8 @@ import numpy as np
 from . import imageio, metrics
 from .fuse import (FusionConfig, activity_text, diagnostics_text,
                    fuse as fuse_images, winner_map_text)
-from .learn import AnalysisOperator, NumericalFailure, TrainConfig, train
+from .learn import (AnalysisOperator, NumericalFailure, TrainConfig,
+                    sample_training_patches, train)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -43,6 +50,18 @@ OPERATOR_REDUNDANCY = 64.0 / 49.0
 
 class InputError(Exception):
     """User-correctable problem with arguments or input files."""
+
+
+@contextlib.contextmanager
+def _bad_input():
+    """Report a ValueError raised on user input as an InputError. A LAPACK
+    ``LinAlgError`` is a ValueError too, but stays a numerical failure."""
+    try:
+        yield
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _atomic_write(path, data):
@@ -78,20 +97,42 @@ def _load_config_file(path):
     return values
 
 
-def _merge_config(defaults, ns, known):
-    """defaults < config file < explicit flags; unknown file keys rejected."""
+def _option_fields(cls, renames):
+    """(field, option key) for each field of ``cls`` that is an option:
+    ``renames`` maps a field name to its option key, or to None to leave the
+    field out, so that it keeps its default."""
+    for f in dataclasses.fields(cls):
+        key = renames.get(f.name, f.name)
+        if key is not None:
+            yield f, key
+
+
+def _options(cls, **renames):
+    """Option key -> default for the fields of the config dataclass ``cls``."""
+    return {key: f.default for f, key in _option_fields(cls, renames)}
+
+
+def _make_config(cls, cfgv, **renames):
+    """Build ``cls`` from merged option values keyed as ``_options`` keys them."""
+    with _bad_input():
+        return cls(**{f.name: cfgv[key] for f, key in _option_fields(cls, renames)})
+
+
+def _merge_config(defaults, ns):
+    """defaults < config file < explicit flags; unknown file keys rejected.
+    A config value is parsed with the type of its default."""
     merged = dict(defaults)
     if getattr(ns, "config", None):
         for key, raw in _load_config_file(ns.config).items():
-            if key not in known:
+            if key not in defaults:
                 raise InputError(f"unknown config key {key!r} in {ns.config}")
             try:
-                merged[key] = known[key](raw)
+                merged[key] = type(defaults[key])(raw)
             except ValueError:
                 raise InputError(
                     f"bad value for config key {key!r}: {raw!r}"
                 ) from None
-    for key in known:
+    for key in defaults:
         flag = getattr(ns, key, None)
         if flag is not None:
             merged[key] = flag
@@ -129,53 +170,21 @@ def _validate_threads(threads):
 # ---------------------------------------------------------------------------
 # train
 
-_TRAIN_KEYS = {
-    "h": int, "m": int, "patches": int, "lam": float, "mu": float,
-    "sweeps": int, "admm_tol": float, "max_admm_iters": int,
-    "cosupport_tol": float, "seed": int, "threads": int,
+_TRAIN_OPTIONS = {
+    **_options(TrainConfig),
+    "h": 64, "m": 49, "patches": 10_000, "threads": 1,
 }
-
-_TRAIN_DEFAULTS = {
-    "h": 64, "m": 49, "patches": 10_000, "lam": 0.1, "mu": 1.0,
-    "sweeps": 20, "admm_tol": 1e-6, "max_admm_iters": 1000,
-    "cosupport_tol": 1e-3, "seed": 0, "threads": 1,
-}
-
-
-def _sample_training_patches(images, n, count, seed):
-    """Random patches, mean-subtracted and unit-normalized (flat patches
-    carry no analyzable structure and are resampled)."""
-    rng = np.random.default_rng(seed)
-    m = n * n
-    Y = np.empty((m, count))
-    usable = [img for img in images if min(img.shape) >= n]
-    if not usable:
-        raise InputError(f"no training image is at least {n}x{n} pixels")
-    i = 0
-    attempts = 0
-    while i < count:
-        attempts += 1
-        if attempts > 50 * count:
-            raise InputError("training images are flat; cannot sample patches")
-        img = usable[int(rng.integers(len(usable)))]
-        top = int(rng.integers(img.shape[0] - n + 1))
-        left = int(rng.integers(img.shape[1] - n + 1))
-        block = img[top:top + n, left:left + n].reshape(m) / 255.0
-        block = block - block.mean()
-        norm = np.linalg.norm(block)
-        if norm < 1e-8:
-            continue
-        Y[:, i] = block / norm
-        i += 1
-    return Y
 
 
 def cmd_train(ns):
-    cfgv = _merge_config(_TRAIN_DEFAULTS, ns, _TRAIN_KEYS)
+    cfgv = _merge_config(_TRAIN_OPTIONS, ns)
     _validate_threads(cfgv["threads"])
-    n = math.isqrt(cfgv["m"])
-    if n * n != cfgv["m"]:
-        raise InputError(f"m must be a perfect square (n*n), got {cfgv['m']}")
+    m = cfgv["m"]
+    if m < 1:
+        raise InputError(f"m must be at least 1, got {m}")
+    n = math.isqrt(m)
+    if n * n != m:
+        raise InputError(f"m must be a perfect square (n*n), got {m}")
     if not os.path.isdir(ns.images):
         raise InputError(f"training image directory not found: {ns.images}")
     paths = sorted(
@@ -185,21 +194,10 @@ def cmd_train(ns):
     if not paths:
         raise InputError(f"no .pgm images in {ns.images}")
     images = [_load_image(p) for p in paths]
-    if cfgv["patches"] < cfgv["h"]:
-        raise InputError(
-            f"need at least h={cfgv['h']} training patches, got {cfgv['patches']}"
-        )
-    try:
-        cfg = TrainConfig(
-            lam=cfgv["lam"], mu=cfgv["mu"],
-            max_admm_iters=cfgv["max_admm_iters"], admm_tol=cfgv["admm_tol"],
-            cosupport_tol=cfgv["cosupport_tol"], sweeps=cfgv["sweeps"],
-            seed=cfgv["seed"],
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    Y = _sample_training_patches(images, n, cfgv["patches"], cfgv["seed"])
-    operator, report = train(Y, cfg, cfgv["h"])
+    cfg = _make_config(TrainConfig, cfgv)
+    with _bad_input():
+        Y = sample_training_patches(images, n, cfgv["patches"], cfgv["seed"])
+        operator, report = train(Y, cfg, cfgv["h"])
 
     _atomic_write(ns.out, operator.to_text())
 
@@ -220,32 +218,11 @@ def cmd_train(ns):
 # ---------------------------------------------------------------------------
 # fuse
 
-_FUSE_KEYS = {
-    "epsilon": float, "lambda_local": float, "lambda_global": float,
-    "n": int, "p": int, "mu": float, "admm_tol": float,
-    "max_admm_iters": int, "global_rounds": int,
-    "sigma": float, "seed": int, "threads": int,
-}
-
-_FUSE_DEFAULTS = {
-    "epsilon": 0.1, "lambda_local": 0.05, "lambda_global": 0.02,
-    "n": 7, "p": 1, "mu": 1.0, "admm_tol": 1e-6,
-    "max_admm_iters": 1000, "global_rounds": 3,
+_FUSE_RENAMES = {"patch_size": "n", "overlap": "p"}
+_FUSE_OPTIONS = {
+    **_options(FusionConfig, **_FUSE_RENAMES),
     "sigma": 0.0, "seed": 0, "threads": 1,
 }
-
-
-def _fusion_config(cfgv):
-    try:
-        return FusionConfig(
-            epsilon=cfgv["epsilon"], lambda_local=cfgv["lambda_local"],
-            lambda_global=cfgv["lambda_global"], patch_size=cfgv["n"],
-            overlap=cfgv["p"], mu=cfgv["mu"], admm_tol=cfgv["admm_tol"],
-            max_admm_iters=cfgv["max_admm_iters"],
-            global_rounds=cfgv["global_rounds"],
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
 
 
 def _derived_path(out, suffix):
@@ -254,7 +231,7 @@ def _derived_path(out, suffix):
 
 
 def cmd_fuse(ns):
-    cfgv = _merge_config(_FUSE_DEFAULTS, ns, _FUSE_KEYS)
+    cfgv = _merge_config(_FUSE_OPTIONS, ns)
     _validate_threads(cfgv["threads"])
     if cfgv["sigma"] < 0:
         raise InputError(f"sigma must be nonnegative, got {cfgv['sigma']}")
@@ -272,11 +249,9 @@ def cmd_fuse(ns):
             imageio.add_gaussian_noise(img, cfgv["sigma"], (cfgv["seed"], k))
             for k, img in enumerate(images)
         ]
-    cfg = _fusion_config(cfgv)
-    try:
+    cfg = _make_config(FusionConfig, cfgv, **_FUSE_RENAMES)
+    with _bad_input():
         result = fuse_images(images, operator, cfg)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
 
     winner_path = ns.winner_map or _derived_path(ns.out, "_winners.txt")
     activity_path = ns.activity or _derived_path(ns.out, "_activity.txt")
@@ -340,41 +315,38 @@ def cmd_eval(ns):
 # ---------------------------------------------------------------------------
 # sweep
 
-_SWEEP_KEYS = {
-    "sigma_b": float, "split": int, "train_patches": int, "train_sweeps": int,
-    "lam": float, "lambda_local": float, "lambda_global": float,
-    "epsilon": float, "mu": float, "admm_tol": float, "max_admm_iters": int,
-    "global_rounds": int, "seed": int, "threads": int,
-}
-
-_SWEEP_DEFAULTS = {
-    "sigma_b": 2.0, "split": 0, "train_patches": 2000, "train_sweeps": 5,
-    "lam": 0.1, "lambda_local": 0.05, "lambda_global": 0.02,
-    "epsilon": 0.1, "mu": 1.0, "admm_tol": 1e-6, "max_admm_iters": 1000,
-    "global_rounds": 3, "seed": 0, "threads": 1,
+# sweep takes TrainConfig's sweeps as train_sweeps, with a default of its
+# own, leaves cosupport_tol at its default and sets patch_size and overlap
+# per cell.
+_SWEEP_TRAIN = {"cosupport_tol": None, "sweeps": "train_sweeps"}
+_SWEEP_FUSE = {"patch_size": None, "overlap": None}
+_SWEEP_OPTIONS = {
+    **_options(TrainConfig, **_SWEEP_TRAIN),
+    **_options(FusionConfig, **_SWEEP_FUSE),
+    "train_patches": 2000, "train_sweeps": 5, "sigma_b": 2.0, "split": 0,
+    "threads": 1,
 }
 
 
 def cmd_sweep(ns):
-    cfgv = _merge_config(_SWEEP_DEFAULTS, ns, _SWEEP_KEYS)
+    cfgv = _merge_config(_SWEEP_OPTIONS, ns)
     _validate_threads(cfgv["threads"])
+    tcfg = _make_config(TrainConfig, cfgv, **_SWEEP_TRAIN)
+    base = _make_config(FusionConfig, cfgv, **_SWEEP_FUSE)
     truth = _load_image(ns.truth)
     split = cfgv["split"] or truth.shape[1] // 2
+    with _bad_input():
+        left, right = imageio.synth_multifocus(truth, cfgv["sigma_b"], split)
     rows = []
     for n in SWEEP_PATCH_SIZES:
         if min(truth.shape) < n:
             raise InputError(f"truth image too small for patch size {n}")
         m = n * n
         h = int(round(m * OPERATOR_REDUNDANCY))
-        Y = _sample_training_patches([truth], n, cfgv["train_patches"],
-                                     (cfgv["seed"], n))
-        tcfg = TrainConfig(
-            lam=cfgv["lam"], mu=cfgv["mu"],
-            max_admm_iters=cfgv["max_admm_iters"], admm_tol=cfgv["admm_tol"],
-            sweeps=cfgv["train_sweeps"], seed=cfgv["seed"],
-        )
-        operator, _ = train(Y, tcfg, h)
-        left, right = imageio.synth_multifocus(truth, cfgv["sigma_b"], split)
+        with _bad_input():
+            Y = sample_training_patches([truth], n, cfgv["train_patches"],
+                                        (cfgv["seed"], n))
+            operator, _ = train(Y, tcfg, h)
         for sigma in SWEEP_NOISE_LEVELS:
             a = imageio.add_gaussian_noise(left, sigma, (cfgv["seed"], n, sigma, 0))
             b = imageio.add_gaussian_noise(right, sigma, (cfgv["seed"], n, sigma, 1))
@@ -382,14 +354,10 @@ def cmd_sweep(ns):
             # penalty weights scale with the noise level (configured values
             # apply at sigma = 15; the noise-free runs need no shrinkage).
             scale = sigma / 15.0
-            fcfg = FusionConfig(
-                epsilon=cfgv["epsilon"],
-                lambda_local=cfgv["lambda_local"] * scale,
-                lambda_global=cfgv["lambda_global"] * scale,
-                patch_size=n, overlap=1,
-                mu=cfgv["mu"], admm_tol=cfgv["admm_tol"],
-                max_admm_iters=cfgv["max_admm_iters"],
-                global_rounds=cfgv["global_rounds"],
+            fcfg = dataclasses.replace(
+                base, patch_size=n, overlap=1,
+                lambda_local=base.lambda_local * scale,
+                lambda_global=base.lambda_global * scale,
             )
             result = fuse_images([a, b], operator, fcfg)
             rows.append((
@@ -410,10 +378,12 @@ def cmd_sweep(ns):
 # ---------------------------------------------------------------------------
 # parser / dispatch
 
-def _add_config_flag(p):
+def _add_option_flags(p, options):
+    """A ``--key`` flag for each option, typed like its default, and --config."""
+    for key, default in options.items():
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                       type=type(default), help=f"default: {default}")
     p.add_argument("--config", help="config file of key = value lines")
-    p.add_argument("--threads", type=int, help="worker threads (results are "
-                   "independent of this value)")
 
 
 def build_parser():
@@ -426,12 +396,7 @@ def build_parser():
     p = sub.add_parser("train", help="learn an analysis operator from images")
     p.add_argument("--images", required=True, help="directory of .pgm images")
     p.add_argument("--out", required=True, help="output operator file")
-    for key in ("h", "m", "patches", "sweeps", "max_admm_iters"):
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
-    for key in ("lam", "mu", "admm_tol", "cosupport_tol"):
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
-    p.add_argument("--seed", type=int)
-    _add_config_flag(p)
+    _add_option_flags(p, _TRAIN_OPTIONS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("fuse", help="fuse multi-focus images")
@@ -441,13 +406,7 @@ def build_parser():
     p.add_argument("--winner-map", dest="winner_map")
     p.add_argument("--activity", dest="activity")
     p.add_argument("--diagnostics", dest="diagnostics")
-    for key in ("n", "p", "max_admm_iters", "global_rounds"):
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
-    for key in ("epsilon", "lambda_local", "lambda_global", "mu",
-                "admm_tol", "sigma"):
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
-    p.add_argument("--seed", type=int)
-    _add_config_flag(p)
+    _add_option_flags(p, _FUSE_OPTIONS)
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("synth", help="make a synthetic multi-focus pair")
@@ -470,14 +429,7 @@ def build_parser():
                        "noise levels, writing a CSV table")
     p.add_argument("--truth", required=True, help="ground-truth .pgm image")
     p.add_argument("--out", required=True, help="output CSV path")
-    for key in ("split", "train_patches", "train_sweeps", "max_admm_iters",
-                "global_rounds"):
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
-    for key in ("sigma_b", "lam", "lambda_local", "lambda_global", "epsilon",
-                "mu", "admm_tol"):
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
-    p.add_argument("--seed", type=int)
-    _add_config_flag(p)
+    _add_option_flags(p, _SWEEP_OPTIONS)
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -45,6 +45,7 @@ __all__ = [
     "TrainReport",
     "NumericalFailure",
     "init_operator",
+    "sample_training_patches",
     "cosparse_code",
     "cosparse_code_many",
     "cosupport",
@@ -125,7 +126,6 @@ class TrainConfig:
     max_admm_iters: int = 1000
     admm_tol: float = 1e-6
     cosupport_tol: float = 1e-3
-    r: int | None = None  # target signal rank, diagnostic bookkeeping only
     sweeps: int = 20
     seed: int = 0
 
@@ -172,6 +172,35 @@ def init_operator(h, m, seed):
     M = rng.standard_normal((h, m))
     M /= np.linalg.norm(M, axis=1, keepdims=True)
     return AnalysisOperator(M)
+
+
+def sample_training_patches(images, n, count, seed):
+    """``count`` random n-by-n patches of ``images`` as the columns of an
+    (n*n)-by-count matrix, mean-subtracted and unit-normalized. Flat patches
+    carry no analyzable structure and are resampled."""
+    rng = np.random.default_rng(seed)
+    m = n * n
+    Y = np.empty((m, count))
+    usable = [img for img in images if min(img.shape) >= n]
+    if not usable:
+        raise ValueError(f"no training image is at least {n}x{n} pixels")
+    i = 0
+    attempts = 0
+    while i < count:
+        attempts += 1
+        if attempts > 50 * count:
+            raise ValueError("training images are flat; cannot sample patches")
+        img = usable[int(rng.integers(len(usable)))]
+        top = int(rng.integers(img.shape[0] - n + 1))
+        left = int(rng.integers(img.shape[1] - n + 1))
+        block = img[top:top + n, left:left + n].reshape(m) / 255.0
+        block = block - block.mean()
+        norm = np.linalg.norm(block)
+        if norm < 1e-8:
+            continue
+        Y[:, i] = block / norm
+        i += 1
+    return Y
 
 
 def _code_batch(W, Y, lam, mu, max_admm_iters, admm_tol):
@@ -319,10 +348,6 @@ def update_row(op, j, Y, X, cfg, rng=None):
         return _random_unit_row(rng, op.m)
     _, vec = sym_eig_smallest(gram(Y[:, J]))
     return vec
-
-
-def _objective(W, X, Y, lam):
-    return 0.5 * float(np.sum((X - Y) ** 2)) + lam * float(np.abs(W @ X).sum())
 
 
 def train(Y, cfg, h):

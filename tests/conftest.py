@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cosfuse import imageio
-from cosfuse.learn import TrainConfig, init_operator, train
+from cosfuse.learn import (TrainConfig, init_operator, sample_training_patches,
+                           train)
 
 
 def make_texture(width, height, seed=0):
@@ -35,25 +36,6 @@ def make_planted_clusters(planted, n_signals, cosupport_size, n_clusters, seed):
             g = null @ (null.T @ rng.standard_normal(m))
             signals.append(g / np.linalg.norm(g))
     return np.array(signals).T
-
-
-def extract_training_patches(image, n, count, seed):
-    """Random n-by-n patches: mean-subtracted and unit-normalized."""
-    rng = np.random.default_rng(seed)
-    m = n * n
-    Y = np.empty((m, count))
-    i = 0
-    while i < count:
-        top = int(rng.integers(image.shape[0] - n + 1))
-        left = int(rng.integers(image.shape[1] - n + 1))
-        block = image[top:top + n, left:left + n].reshape(m) / 255.0
-        block = block - block.mean()
-        norm = np.linalg.norm(block)
-        if norm < 1e-8:
-            continue
-        Y[:, i] = block / norm
-        i += 1
-    return Y
 
 
 def make_scene(width, height, seed=0, corridor=12, fine_amp=30.0):
@@ -101,7 +83,7 @@ def cartoon_128():
 @pytest.fixture(scope="session")
 def trained_operator(texture_128):
     """Operator learned from patches of the texture image (desk scale)."""
-    Y = extract_training_patches(texture_128, n=7, count=800, seed=1)
+    Y = sample_training_patches([texture_128], n=7, count=800, seed=1)
     cfg = TrainConfig(lam=0.1, sweeps=3, max_admm_iters=300, seed=2)
     operator, _ = train(Y, cfg, h=64)
     return operator

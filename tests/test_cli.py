@@ -1,14 +1,16 @@
 """End-to-end tests of the command-line frontend."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from conftest import make_texture
-from cosfuse import imageio
+from cosfuse import cli, imageio
 from cosfuse.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
-from cosfuse.learn import AnalysisOperator
+from cosfuse.fuse import FusionConfig
+from cosfuse.learn import AnalysisOperator, TrainConfig, init_operator
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +104,23 @@ def test_train_rejects_non_square_m(workdir, tmp_path):
     assert rc == EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--mu", "0"],
+    ["sweep", "--lam", "-1"],
+    ["sweep", "--train-patches", "10"],
+    ["train", "--h", "4", "--m", "9", "--patches", "50"],
+    ["train", "--h", "16", "--m", "9", "--patches", "10"],
+    ["train", "--m", "-4"],
+], ids=" ".join)
+def test_bad_option_values_exit_2_without_output(workdir, tmp_path, argv):
+    cmd, *options = argv
+    source = {"train": ["--images", str(workdir["imgdir"])],
+              "sweep": ["--truth", str(workdir["truth"])]}[cmd]
+    rc = main([cmd, *source, "--out", str(tmp_path / "out.txt"), *options])
+    assert rc == EXIT_INPUT
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # synth / fuse
 
@@ -159,6 +178,18 @@ def test_fuse_deterministic_and_thread_invariant(workdir, tmp_path):
         assert rc == EXIT_OK
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_fuse_lapack_failure_exits_3(workdir, tmp_path, monkeypatch):
+    # LinAlgError subclasses ValueError; it must not be reported as bad input.
+    def no_inverse(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    out = tmp_path / "fused.pgm"
+    assert main(_fuse_args(workdir, out)) == EXIT_NUMERIC
+    assert not out.exists()
+    assert not (tmp_path / "fused_diag.txt").exists()
 
 
 def test_fuse_single_input_passthrough(workdir, tmp_path):
@@ -223,6 +254,69 @@ def test_config_file_rejects_unknown_key(workdir, tmp_path, capsys):
 
 def test_bad_flag_exits_2():
     assert main(["fuse", "--no-such-flag"]) == EXIT_INPUT
+
+
+# Option keys that differ from their config field, and the fields that a
+# command sets itself (sweep: per cell, or left at the field default).
+_KEY_OF_FIELD = {"fuse": {"patch_size": "n", "overlap": "p"},
+                 "sweep": {"sweeps": "train_sweeps"}}
+_NOT_OPTIONS = {"sweep": {"cosupport_tol", "patch_size", "overlap"}}
+_CONFIGS_OF = {"train": (TrainConfig,), "fuse": (FusionConfig,),
+               "sweep": (TrainConfig, FusionConfig)}
+
+
+def _config_options():
+    for cmd, classes in _CONFIGS_OF.items():
+        for cls in classes:
+            for f in dataclasses.fields(cls):
+                if f.name in _NOT_OPTIONS.get(cmd, ()):
+                    continue
+                key = _KEY_OF_FIELD.get(cmd, {}).get(f.name, f.name)
+                yield pytest.param(cmd, cls, f.name, key,
+                                   id=f"{cmd}-{cls.__name__}-{key}")
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cmd,cls,field,key", _config_options())
+def test_config_option_reaches_its_field(workdir, tmp_path, monkeypatch,
+                                         cmd, cls, field, key):
+    seen = []
+
+    def fake_train(Y, cfg, h):
+        seen.append(cfg)
+        if cls is TrainConfig:
+            raise _Captured
+        return init_operator(h, Y.shape[0], 0), None
+
+    def fake_fuse(images, operator, cfg):
+        seen.append(cfg)
+        raise _Captured
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    monkeypatch.setattr(cli, "fuse_images", fake_fuse)
+    # At sigma 15 the sweep applies the configured lambda weights unscaled.
+    monkeypatch.setattr(cli, "SWEEP_NOISE_LEVELS", (15,))
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--images", str(workdir["imgdir"]), "--out", str(out),
+                  "--h", "16", "--m", "9", "--patches", "50"],
+        "fuse": _fuse_args(workdir, out),
+        "sweep": ["sweep", "--truth", str(workdir["truth"]), "--out", str(out),
+                  "--train-patches", "50"],
+    }[cmd]
+
+    main(argv)
+    baseline = seen[-1]
+    assert isinstance(baseline, cls)
+    value = getattr(baseline, field) + 1
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {value!r}\n")
+    main(argv + ["--config", str(cfg_file)])
+    assert seen[-1] == dataclasses.replace(baseline, **{field: value})
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

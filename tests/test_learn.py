@@ -5,7 +5,6 @@ import pytest
 
 from conftest import make_planted_clusters
 from cosfuse import imageio, learn
-from cosfuse.cli import _sample_training_patches
 from cosfuse.linalg import gram, soft_threshold, sym_eig_smallest
 
 
@@ -263,7 +262,7 @@ def test_update_row_eigensolves_converge_on_training_grams(texture_128, cartoon_
     # them unconverged.
     images = [imageio.read_pgm(imageio.write_pgm(img))
               for img in (cartoon_128, texture_128)]
-    Y = _sample_training_patches(images, 5, 600, 0)
+    Y = learn.sample_training_patches(images, 5, 600, 0)
     op = learn.init_operator(33, 25, 0)
     cfg = learn.TrainConfig()
     X, _, _, _, _ = learn.cosparse_code_many(op, Y, cfg)
