@@ -5,6 +5,7 @@ given identical flags, files, and seed. The options of train, fuse and sweep
 are the fields of ``TrainConfig``/``FusionConfig``, with each field's type
 and default, plus a few command-only keys (such as ``h``, ``sigma``,
 ``seed``); fuse spells ``patch_size`` and ``overlap`` as ``n`` and ``p``.
+synth and sweep share the multi-focus pair options ``sigma_b`` and ``split``.
 Each option is a ``--key`` flag and a ``key = value`` line of the file given
 by ``--config`` ('#' starts a comment); precedence is defaults, then config
 file, then command-line flags. Unknown config keys are rejected before any
@@ -272,15 +273,23 @@ def cmd_fuse(ns):
 # ---------------------------------------------------------------------------
 # synth
 
+# The multi-focus pair options, shared by synth and sweep.
+_PAIR_OPTIONS = {"sigma_b": 2.0, "split": 0}
+
+
+def _multifocus_pair(truth, cfgv):
+    """The synth_multifocus pair of ``truth``; split 0 is the middle column."""
+    if cfgv["sigma_b"] < 0:
+        raise InputError(f"sigma-b must be nonnegative, got {cfgv['sigma_b']}")
+    split = cfgv["split"] or truth.shape[1] // 2
+    with _bad_input():
+        return imageio.synth_multifocus(truth, cfgv["sigma_b"], split)
+
+
 def cmd_synth(ns):
+    cfgv = _merge_config(_PAIR_OPTIONS, ns)
     truth = _load_image(ns.truth)
-    split = ns.split if ns.split is not None else truth.shape[1] // 2
-    if ns.sigma_b < 0:
-        raise InputError(f"sigma-b must be nonnegative, got {ns.sigma_b}")
-    try:
-        left, right = imageio.synth_multifocus(truth, ns.sigma_b, split)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    left, right = _multifocus_pair(truth, cfgv)
     _atomic_write(ns.out_truth, imageio.write_pgm(truth))
     _atomic_write(ns.out_a, imageio.write_pgm(left))
     _atomic_write(ns.out_b, imageio.write_pgm(right))
@@ -323,8 +332,8 @@ _SWEEP_FUSE = {"patch_size": None, "overlap": None}
 _SWEEP_OPTIONS = {
     **_options(TrainConfig, **_SWEEP_TRAIN),
     **_options(FusionConfig, **_SWEEP_FUSE),
-    "train_patches": 2000, "train_sweeps": 5, "sigma_b": 2.0, "split": 0,
-    "threads": 1,
+    **_PAIR_OPTIONS,
+    "train_patches": 2000, "train_sweeps": 5, "threads": 1,
 }
 
 
@@ -334,9 +343,7 @@ def cmd_sweep(ns):
     tcfg = _make_config(TrainConfig, cfgv, **_SWEEP_TRAIN)
     base = _make_config(FusionConfig, cfgv, **_SWEEP_FUSE)
     truth = _load_image(ns.truth)
-    split = cfgv["split"] or truth.shape[1] // 2
-    with _bad_input():
-        left, right = imageio.synth_multifocus(truth, cfgv["sigma_b"], split)
+    left, right = _multifocus_pair(truth, cfgv)
     rows = []
     for n in SWEEP_PATCH_SIZES:
         if min(truth.shape) < n:
@@ -378,11 +385,17 @@ def cmd_sweep(ns):
 # ---------------------------------------------------------------------------
 # parser / dispatch
 
+_OPTION_HELP = {"split": "focus boundary column; 0 means the middle column"}
+
+
 def _add_option_flags(p, options):
     """A ``--key`` flag for each option, typed like its default, and --config."""
     for key, default in options.items():
+        help_text = f"default: {default}"
+        if key in _OPTION_HELP:
+            help_text = f"{_OPTION_HELP[key]} ({help_text})"
         p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                       type=type(default), help=f"default: {default}")
+                       type=type(default), help=help_text)
     p.add_argument("--config", help="config file of key = value lines")
 
 
@@ -411,11 +424,10 @@ def build_parser():
 
     p = sub.add_parser("synth", help="make a synthetic multi-focus pair")
     p.add_argument("--truth", required=True, help="ground-truth .pgm image")
-    p.add_argument("--sigma-b", dest="sigma_b", type=float, default=2.0)
-    p.add_argument("--split", type=int, help="focus boundary column")
     p.add_argument("--out-truth", dest="out_truth", required=True)
     p.add_argument("--out-a", dest="out_a", required=True)
     p.add_argument("--out-b", dest="out_b", required=True)
+    _add_option_flags(p, _PAIR_OPTIONS)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("eval", help="score a fused image against its sources")

@@ -175,7 +175,7 @@ def local_fuse(op, images, cfg):
         P_win[:, mask] = candidates[k][:, mask]
     means = P_win.mean(axis=0)
 
-    X, _, _, _, _ = cosparse_code_many(
+    X, _, _, residual, iterations = cosparse_code_many(
         op, P_win - means, cfg._coding_config(cfg.lambda_local),
     )
     estimate = overlap_add_matrix(X + means, grid) * _PIXEL_SCALE
@@ -192,9 +192,26 @@ def local_fuse(op, images, cfg):
             "local_l1_max": float(patch_l1.max()),
             "eps_budget": float(cfg.epsilon),
             "eps_violations": float(violations),
+            **_admm_counters(residual, iterations, cfg),
         },
     )
     return estimate, result
+
+
+def _admm_counters(residual, iterations, cfg):
+    """Largest ADMM iteration count of a coding call, and the columns whose
+    last residual is not within ``admm_tol``: those that stopped at
+    ``max_admm_iters``, and those retired by a NaN residual."""
+    return {
+        "admm_iters_max": float(iterations.max(initial=0)),
+        "admm_nonconverged": float(np.count_nonzero(~(residual <= cfg.admm_tol))),
+    }
+
+
+def _merge_admm_counters(into, counters):
+    """Fold one coding call's ``_admm_counters`` into a running total."""
+    into["admm_iters_max"] = max(into["admm_iters_max"], counters["admm_iters_max"])
+    into["admm_nonconverged"] += counters["admm_nonconverged"]
 
 
 def _patchwise_l1(W, image_norm, grid):
@@ -203,11 +220,13 @@ def _patchwise_l1(W, image_norm, grid):
 
 
 def _global_impl(op, initial, cfg):
+    counters = {"admm_iters_max": 0.0, "admm_nonconverged": 0.0}
     if cfg.lambda_global == 0 or cfg.global_rounds == 0:
         return initial.copy(), {
             "global_rounds_run": 0.0,
             "global_objective_initial": 0.0,
             "global_objective_final": 0.0,
+            **counters,
         }
     grid = _grid_for(op, initial.shape, cfg)
     W = op.matrix
@@ -227,7 +246,8 @@ def _global_impl(op, initial, cfg):
     for _ in range(cfg.global_rounds):
         P = extract_matrix(current, grid)
         means = P.mean(axis=0)
-        X, _, _, _, _ = cosparse_code_many(op, P - means, coding_cfg)
+        X, _, _, residual, iterations = cosparse_code_many(op, P - means, coding_cfg)
+        _merge_admm_counters(counters, _admm_counters(residual, iterations, cfg))
         smoothed = overlap_add_matrix(X + means, grid)
         candidate = blend * I0 + (1.0 - blend) * smoothed
         cand_obj = objective(candidate)
@@ -240,6 +260,7 @@ def _global_impl(op, initial, cfg):
         "global_rounds_run": float(rounds_run),
         "global_objective_initial": initial_obj,
         "global_objective_final": best_obj,
+        **counters,
     }
     return best * _PIXEL_SCALE, diag
 
@@ -263,6 +284,7 @@ def fuse(images, op, cfg):
     reconstruction, then a final clamp to [0, 255]."""
     estimate, result = local_fuse(op, images, cfg)
     refined, gdiag = _global_impl(op, estimate, cfg)
+    _merge_admm_counters(gdiag, result.diagnostics)
     result.diagnostics.update(gdiag)
     result.fused = np.clip(refined, 0.0, 255.0)
     return result

@@ -10,7 +10,11 @@ columns):
   is a strongly convex quadratic with the fixed matrix A = I + mu * W^T W;
   A is inverted once per coding call, and each ADMM iteration solves the
   x-subproblem exactly as the correction x -= A^-1 (A x - b). The
-  v-subproblem is soft thresholding at lam/mu.
+  v-subproblem is soft thresholding at lam/mu. The unconverged columns are
+  kept in contiguous working arrays: a column is written to the result
+  once, when its primal residual reaches the tolerance or the iteration
+  cap, and then dropped from the working set, so each iteration touches
+  only live columns.
 * row update: for each operator row w, collect the coded columns nearly
   orthogonal to it and replace w with the unit vector minimizing the summed
   squared inner products against the corresponding training columns, i.e.
@@ -206,9 +210,11 @@ def sample_training_patches(images, n, count, seed):
 def _code_batch(W, Y, lam, mu, max_admm_iters, admm_tol):
     """ADMM cosparse coding of every column of Y against operator W.
 
-    Returns (X, V, D, primal residuals, iterations used). Columns are frozen
-    as soon as their primal residual ||W x - v|| drops to admm_tol, so each
-    column behaves exactly as if it were solved on its own.
+    Returns (X, V, D, primal residuals, iterations used). The unconverged
+    columns live in contiguous working arrays; a column is written to the
+    result and dropped from them as soon as its primal residual
+    ||W x - v|| drops to admm_tol (or at max_admm_iters, which must be at
+    least 1), so each column behaves as if it were solved on its own.
     """
     h, m = W.shape
     if Y.shape[0] != m:
@@ -221,39 +227,59 @@ def _code_batch(W, Y, lam, mu, max_admm_iters, admm_tol):
         A_inv = np.linalg.inv(A)
         tau = lam / mu
 
-    X = Y.copy()
-    V = W @ X
-    D = np.zeros((h, n_cols))
-    residual = np.zeros(n_cols)
-    iterations = np.zeros(n_cols, dtype=np.int64)
-    active = np.ones(n_cols, dtype=bool)
-
+    X = np.empty((m, n_cols))
+    V = np.empty((h, n_cols))
+    D = np.empty((h, n_cols))
+    residual = np.empty(n_cols)
+    iterations = np.empty(n_cols, dtype=np.int64)
+    # Working set: original column index and the state of each live column.
+    idx = np.arange(n_cols)
+    Xa = Y.copy()
+    Ya = Y
+    Va = W @ Xa
+    Da = np.zeros((h, n_cols))
     for t in range(1, max_admm_iters + 1):
-        act = np.flatnonzero(active)
-        if act.size == 0:
-            break
-        Xa = X[:, act]
         with np.errstate(over="ignore", invalid="ignore"):
-            B = Y[:, act] + mu * (W.T @ (V[:, act] + D[:, act]))
-            G = A @ Xa - B
+            B = W.T @ (Va + Da)
+            B *= mu
+            B += Ya
+            G = A @ Xa
+            G -= B
             norms = np.sqrt(np.sum(G * G, axis=0))
             if not np.all(np.isfinite(norms)):
                 raise NumericalFailure("cosparse coding diverged", t)
             # Columns whose x-step gradient is already negligible are left
             # untouched, which keeps lam = 0 returning the signal exactly.
             live = norms > admm_tol
-            Xa[:, live] -= A_inv @ G[:, live]
+            # Most iterations have every column live; skipping the boolean
+            # gather and scatter then saves about a tenth of coding time.
+            if live.all():
+                Xa -= A_inv @ G
+            else:
+                Xa[:, live] -= A_inv @ G[:, live]
         if not np.all(np.isfinite(Xa)):
             raise NumericalFailure("cosparse coding diverged", t)
         WX = W @ Xa
-        Vn = soft_threshold(WX - D[:, act], tau)
-        D[:, act] -= WX - Vn
-        r = np.sqrt(np.sum((WX - Vn) ** 2, axis=0))
-        X[:, act] = Xa
-        V[:, act] = Vn
-        residual[act] = r
-        iterations[act] = t
-        active[act] = r > admm_tol
+        Va = soft_threshold(WX - Da, tau)
+        WX -= Va  # the primal residual W x - v
+        Da -= WX
+        r = np.sqrt(np.sum(WX * WX, axis=0))
+
+        # Not ``r <= admm_tol``: a NaN residual retires its column too.
+        done = ~(r > admm_tol) if t < max_admm_iters else np.ones(idx.size, bool)
+        if not done.any():
+            continue
+        cols = idx[done]
+        X[:, cols] = Xa[:, done]
+        V[:, cols] = Va[:, done]
+        D[:, cols] = Da[:, done]
+        residual[cols] = r[done]
+        iterations[cols] = t
+        keep = ~done
+        if not keep.any():
+            break
+        idx = idx[keep]
+        Xa, Ya, Va, Da = Xa[:, keep], Ya[:, keep], Va[:, keep], Da[:, keep]
     return X, V, D, residual, iterations
 
 

@@ -48,12 +48,14 @@ def _as_vector(v, name="vector"):
 def soft_threshold(v, tau):
     """Componentwise shrinkage: sign(v) * max(|v| - tau, 0).
 
-    Accepts arrays of any shape; ``tau`` must be a nonnegative scalar.
+    Computed as ``v - clip(v, -tau, tau)``, which gives the same values bit
+    for bit except for the sign of a zero result. Accepts arrays of any
+    shape; ``tau`` must be a nonnegative scalar.
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     v = np.asarray(v, dtype=np.float64)
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    return v - np.clip(v, -tau, tau)
 
 
 def gram(M):

@@ -112,32 +112,40 @@ def extract_matrix(image, grid):
     return blocks.reshape(grid.cell_count, grid.patch_dim).T.copy()
 
 
+def _pixel_index(grid):
+    """Flat image index of every patch pixel, cell-major: the n*n pixels of
+    cell 0 (window row-major), then those of cell 1, in grid row-major
+    order."""
+    n, width = grid.patch_size, grid.image_width
+    corners = (np.asarray(grid.row_offsets)[:, None] * width
+               + np.asarray(grid.col_offsets)).ravel()
+    window = (np.arange(n)[:, None] * width + np.arange(n)).ravel()
+    return (corners[:, None] + window).ravel()
+
+
 def cover_counts(grid):
     """Per-pixel patch cover counts implied by the grid geometry."""
-    counts = np.zeros((grid.image_height, grid.image_width))
-    n = grid.patch_size
-    for r in grid.row_offsets:
-        for c in grid.col_offsets:
-            counts[r:r + n, c:c + n] += 1.0
-    return counts
+    counts = np.bincount(_pixel_index(grid),
+                         minlength=grid.image_height * grid.image_width)
+    return counts.reshape(grid.image_height, grid.image_width).astype(np.float64)
 
 
 def overlap_add_matrix(P, grid):
-    """Reassemble an image from a (n*n, cells) patch matrix by averaging."""
+    """Reassemble an image from a (n*n, cells) patch matrix by averaging.
+
+    ``bincount`` adds the contributions to each pixel in cell order, the
+    order of a loop over the cells, so the sums are exactly those of
+    adding the patches one by one.
+    """
     P = np.asarray(P, dtype=np.float64)
     if P.shape != (grid.patch_dim, grid.cell_count):
         raise ValueError(
             f"patch matrix shape {P.shape} does not match grid "
             f"({grid.patch_dim}, {grid.cell_count})"
         )
-    n = grid.patch_size
-    accum = np.zeros((grid.image_height, grid.image_width))
-    cell = 0
-    for r in grid.row_offsets:
-        for c in grid.col_offsets:
-            accum[r:r + n, c:c + n] += P[:, cell].reshape(n, n)
-            cell += 1
-    return accum / cover_counts(grid)
+    accum = np.bincount(_pixel_index(grid), weights=P.T.ravel(),
+                        minlength=grid.image_height * grid.image_width)
+    return accum.reshape(grid.image_height, grid.image_width) / cover_counts(grid)
 
 
 def extract(image, grid):

@@ -124,6 +124,19 @@ def test_bad_option_values_exit_2_without_output(workdir, tmp_path, argv):
 # ---------------------------------------------------------------------------
 # synth / fuse
 
+def test_synth_split_zero_is_the_default_middle_split(workdir, tmp_path):
+    outputs = {}
+    for name, extra in (("unset", []), ("zero", ["--split", "0"]),
+                        ("middle", ["--split", "32"])):
+        paths = [str(tmp_path / f"{name}_{k}.pgm") for k in ("t", "a", "b")]
+        rc = main(["synth", "--truth", str(workdir["truth"]), *extra,
+                   "--out-truth", paths[0], "--out-a", paths[1],
+                   "--out-b", paths[2]])
+        assert rc == EXIT_OK
+        outputs[name] = [open(p, "rb").read() for p in paths]
+    assert outputs["unset"] == outputs["zero"] == outputs["middle"]
+
+
 def test_synth_writes_three_images(workdir, tmp_path):
     rc = main(["synth", "--truth", str(workdir["truth"]), "--sigma-b", "1.5",
                "--out-truth", str(tmp_path / "t.pgm"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_texture
-from cosfuse import imageio, metrics
+from cosfuse import imageio, learn, metrics
 from cosfuse.fuse import (
     FusionConfig,
     activity,
@@ -216,8 +216,41 @@ def test_fuse_output_range_and_diagnostics(trained_operator, texture_128):
     assert result.fused.min() >= 0.0 and result.fused.max() <= 255.0
     assert result.activity.shape == (22, 22, 2)
     assert np.all((result.winner_map >= 0) & (result.winner_map < 2))
-    for key in ("local_l1_mean", "local_l1_max", "eps_budget", "eps_violations"):
+    for key in ("local_l1_mean", "local_l1_max", "eps_budget", "eps_violations",
+                "admm_iters_max", "admm_nonconverged"):
         assert key in result.diagnostics
+    assert 1 <= result.diagnostics["admm_iters_max"] <= FusionConfig().max_admm_iters
+    assert result.diagnostics["admm_nonconverged"] == 0
+
+
+def test_fuse_reports_capped_admm_columns(trained_operator, texture_128):
+    a, b = imageio.synth_multifocus(texture_128[:48, :48], 2.0, split=24)
+    a = imageio.add_gaussian_noise(a, 15.0, seed=1)
+    b = imageio.add_gaussian_noise(b, 15.0, seed=2)
+    result = fuse([a, b], trained_operator, FusionConfig(max_admm_iters=1))
+    diag = result.diagnostics
+    assert diag["admm_iters_max"] == 1
+    # The local call and every global round code each of the cells.
+    assert 0 < diag["admm_nonconverged"] <= diag["cells"] * (1 + FusionConfig().global_rounds)
+
+
+def test_fuse_counts_nan_residual_as_nonconverged(trained_operator, texture_128,
+                                                  monkeypatch):
+    """A column retired by a NaN residual is reported, not taken as converged."""
+    a, b = imageio.synth_multifocus(texture_128[:48, :48], 2.0, split=24)
+    soft_threshold = learn.soft_threshold
+    calls = []
+
+    def nan_in_first_column_once(v, tau):
+        out = soft_threshold(v, tau)
+        if not calls:
+            out[:, 0] = np.nan
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(learn, "soft_threshold", nan_in_first_column_once)
+    result = fuse([a, b], trained_operator, FusionConfig())
+    assert result.diagnostics["admm_nonconverged"] == 1
 
 
 def test_fuse_paper_protocol_runs_to_completion(trained_operator):

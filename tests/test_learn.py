@@ -147,6 +147,61 @@ def test_batch_coding_agrees_with_single():
         assert iters[i] == state.iterations_used
 
 
+def test_batch_columns_capped_at_max_iters_keep_last_residual():
+    rng = np.random.default_rng(21)
+    op = learn.init_operator(20, 16, seed=13)
+    cfg = learn.TrainConfig(lam=0.1, max_admm_iters=3)
+    Y = rng.standard_normal((16, 9))
+    X, V, D, resid, iters = learn.cosparse_code_many(op, Y, cfg)
+    np.testing.assert_array_equal(iters, 3)
+    assert np.all(resid > cfg.admm_tol)
+    # The reported residual is that of the returned (x, v), the last iterate.
+    np.testing.assert_allclose(
+        resid, np.linalg.norm(op.matrix @ X - V, axis=0), rtol=1e-12)
+
+
+def test_batch_iteration_counts_match_single_column_solves():
+    rng = np.random.default_rng(22)
+    op = learn.init_operator(20, 16, seed=13)
+    cfg = learn.TrainConfig(lam=0.1)
+    # Scaled columns converge after different numbers of iterations.
+    Y = rng.standard_normal((16, 12)) * np.geomspace(0.2, 5.0, 12)
+    X, V, D, resid, iters = learn.cosparse_code_many(op, Y, cfg)
+    assert len(np.unique(iters)) >= 4
+    assert np.all(resid <= cfg.admm_tol)
+    for i in range(Y.shape[1]):
+        state = learn.cosparse_code(op, Y[:, i], cfg)
+        assert iters[i] == state.iterations_used
+        assert resid[i] == pytest.approx(state.primal_residual, rel=1e-6, abs=1e-12)
+        np.testing.assert_allclose(X[:, i], state.x, atol=1e-10)
+
+
+def test_batch_nan_residual_retires_column(monkeypatch):
+    """A NaN residual retires its column, as a residual within tolerance
+    does; the other columns are coded as without it."""
+    rng = np.random.default_rng(23)
+    op = learn.init_operator(20, 16, seed=13)
+    cfg = learn.TrainConfig(lam=0.1)
+    Y = rng.standard_normal((16, 5))
+    _, _, _, ref_resid, ref_iters = learn.cosparse_code_many(op, Y, cfg)
+
+    soft_threshold = learn.soft_threshold
+    calls = []
+
+    def nan_in_first_column_once(v, tau):
+        out = soft_threshold(v, tau)
+        if not calls:
+            out[:, 0] = np.nan
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(learn, "soft_threshold", nan_in_first_column_once)
+    _, _, _, resid, iters = learn.cosparse_code_many(op, Y, cfg)
+    assert iters[0] == 1 and np.isnan(resid[0])
+    np.testing.assert_array_equal(iters[1:], ref_iters[1:])
+    np.testing.assert_allclose(resid[1:], ref_resid[1:], rtol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # cosupport
 

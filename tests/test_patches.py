@@ -133,3 +133,30 @@ def test_matrix_and_list_apis_agree():
         np.testing.assert_array_equal(patch.data, P[:, idx])
     np.testing.assert_array_equal(
         patches.overlap_add(plist, g), patches.overlap_add_matrix(P, g))
+
+
+def _loop_overlap_add(P, grid):
+    """The cell-by-cell overlap-add that ``overlap_add_matrix`` replaced."""
+    n = grid.patch_size
+    accum = np.zeros((grid.image_height, grid.image_width))
+    counts = np.zeros_like(accum)
+    cell = 0
+    for r in grid.row_offsets:
+        for c in grid.col_offsets:
+            accum[r:r + n, c:c + n] += P[:, cell].reshape(n, n)
+            counts[r:r + n, c:c + n] += 1.0
+            cell += 1
+    return accum / counts, counts
+
+
+@pytest.mark.parametrize("side,p", [(61, 3), (64, 4)])
+def test_overlap_add_matrix_matches_loop_bit_for_bit(side, p):
+    g = patches.build_grid(side, side, n=7, p=p)
+    # The last window on each axis is clamped to the edge when the stride
+    # does not tile the image (61 at stride 4).
+    clamped = (side - 7) % g.stride != 0
+    assert clamped == (side == 61)
+    P = np.random.default_rng(side).standard_normal((g.patch_dim, g.cell_count))
+    expected, counts = _loop_overlap_add(P, g)
+    assert patches.overlap_add_matrix(P, g).tobytes() == expected.tobytes()
+    assert patches.cover_counts(g).tobytes() == counts.tobytes()
