@@ -211,8 +211,9 @@ def cmd_train(ns):
         f"{v:.9g}" for v in report.objective_per_sweep))
     print("mean_cosparsity_per_sweep=" + ",".join(
         f"{v:.6g}" for v in report.mean_cosparsity_per_sweep))
-    print("rows_updated_per_sweep=" + ",".join(
-        str(v) for v in report.rows_updated_per_sweep))
+    for key in ("admm_iters_max_per_sweep", "admm_nonconverged_per_sweep",
+                "rows_reinitialized_per_sweep"):
+        print(f"{key}=" + ",".join(str(v) for v in getattr(report, key)))
     return EXIT_OK
 
 

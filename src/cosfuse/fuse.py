@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .learn import TrainConfig, cosparse_code_many
+from .learn import TrainConfig, _admm_counters, cosparse_code_many
 from .linalg import spectral_norm_sq  # unused; bench/tracing.py wraps this attribute
 from .patches import Patch, build_grid, extract_matrix, overlap_add_matrix
 
@@ -198,25 +198,10 @@ def local_fuse(op, images, cfg):
     return estimate, result
 
 
-def _admm_counters(residual, iterations, cfg):
-    """Largest ADMM iteration count of a coding call, and the columns whose
-    last residual is not within ``admm_tol``: those that stopped at
-    ``max_admm_iters``, and those retired by a NaN residual."""
-    return {
-        "admm_iters_max": float(iterations.max(initial=0)),
-        "admm_nonconverged": float(np.count_nonzero(~(residual <= cfg.admm_tol))),
-    }
-
-
 def _merge_admm_counters(into, counters):
     """Fold one coding call's ``_admm_counters`` into a running total."""
     into["admm_iters_max"] = max(into["admm_iters_max"], counters["admm_iters_max"])
     into["admm_nonconverged"] += counters["admm_nonconverged"]
-
-
-def _patchwise_l1(W, image_norm, grid):
-    P = extract_matrix(image_norm, grid)
-    return float(np.abs(W @ (P - P.mean(axis=0))).sum())
 
 
 def _global_impl(op, initial, cfg):
@@ -234,27 +219,30 @@ def _global_impl(op, initial, cfg):
     I0 = initial / _PIXEL_SCALE
 
     def objective(img):
-        return float(np.sum((img - I0) ** 2)) + lam * _patchwise_l1(W, img, grid)
+        """Data fidelity plus weighted patchwise analyzed l1 norm of ``img``,
+        with its mean-subtracted patch matrix and patch means, which the
+        next round codes."""
+        P = extract_matrix(img, grid)
+        means = P.mean(axis=0)
+        P -= means
+        obj = float(np.sum((img - I0) ** 2)) + lam * float(np.abs(W @ P).sum())
+        return obj, P, means
 
     coding_cfg = cfg._coding_config(lam)
     blend = 1.0 / (1.0 + lam)
     best = I0
-    best_obj = objective(I0)
+    best_obj, P, means = objective(I0)
     initial_obj = best_obj
-    current = I0
     rounds_run = 0
     for _ in range(cfg.global_rounds):
-        P = extract_matrix(current, grid)
-        means = P.mean(axis=0)
-        X, _, _, residual, iterations = cosparse_code_many(op, P - means, coding_cfg)
+        X, _, _, residual, iterations = cosparse_code_many(op, P, coding_cfg)
         _merge_admm_counters(counters, _admm_counters(residual, iterations, cfg))
         smoothed = overlap_add_matrix(X + means, grid)
         candidate = blend * I0 + (1.0 - blend) * smoothed
-        cand_obj = objective(candidate)
+        cand_obj, P, means = objective(candidate)
         if cand_obj > best_obj:
             break
         best, best_obj = candidate, cand_obj
-        current = candidate
         rounds_run += 1
     diag = {
         "global_rounds_run": float(rounds_run),

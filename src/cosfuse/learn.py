@@ -7,14 +7,17 @@ columns):
   ``0.5 * ||x - y||^2 + lam * ||W x||_1`` over x, where W is the current
   operator. The l1 term is split off with an auxiliary variable v = W x and
   the problem is solved by ADMM with scaled multipliers d. The x-subproblem
-  is a strongly convex quadratic with the fixed matrix A = I + mu * W^T W;
-  A is inverted once per coding call, and each ADMM iteration solves the
-  x-subproblem exactly as the correction x -= A^-1 (A x - b). The
-  v-subproblem is soft thresholding at lam/mu. The unconverged columns are
-  kept in contiguous working arrays: a column is written to the result
-  once, when its primal residual reaches the tolerance or the iteration
-  cap, and then dropped from the working set, so each iteration touches
-  only live columns.
+  is a strongly convex quadratic with the fixed matrix A = I + mu * W^T W,
+  inverted once per coding call. Its exact solution is the correction
+  x = y - M (W y - v - d) with M = mu A^-1 W^T, so the iteration runs on
+  W x = W y - W M (W y - v - d) alone, one h-by-h product per column, and
+  x is formed only when its column retires. That is cheaper than iterating
+  on x while h < (1 + sqrt 3) m, which holds for every operator this
+  package builds. The v-subproblem is soft thresholding at lam/mu. The
+  unconverged columns are kept in contiguous working arrays: a column is
+  written to the result once, when its primal residual reaches the
+  tolerance or the iteration cap, and then dropped from the working set, so
+  each iteration touches only live columns.
 * row update: for each operator row w, collect the coded columns nearly
   orthogonal to it and replace w with the unit vector minimizing the summed
   squared inner products against the corresponding training columns, i.e.
@@ -165,7 +168,10 @@ class TrainReport:
 
     objective_per_sweep: list = field(default_factory=list)
     mean_cosparsity_per_sweep: list = field(default_factory=list)
-    rows_updated_per_sweep: list = field(default_factory=list)
+    admm_iters_max_per_sweep: list = field(default_factory=list)
+    admm_nonconverged_per_sweep: list = field(default_factory=list)
+    # Rows the duplicate guard replaced with a random row.
+    rows_reinitialized_per_sweep: list = field(default_factory=list)
 
 
 def init_operator(h, m, seed):
@@ -210,22 +216,33 @@ def sample_training_patches(images, n, count, seed):
 def _code_batch(W, Y, lam, mu, max_admm_iters, admm_tol):
     """ADMM cosparse coding of every column of Y against operator W.
 
-    Returns (X, V, D, primal residuals, iterations used). The unconverged
-    columns live in contiguous working arrays; a column is written to the
-    result and dropped from them as soon as its primal residual
-    ||W x - v|| drops to admm_tol (or at max_admm_iters, which must be at
-    least 1), so each column behaves as if it were solved on its own.
+    Returns (X, V, D, primal residuals, iterations used). The loop iterates
+    on s = W x rather than on x. With u = v + d, the exact x-step
+    x = A^-1 (y + mu W^T u), A = I + mu W^T W, is the correction
+    x = y - M (z - u) with z = W y and M = mu A^-1 W^T, so
+    W x = z - K (z - u) with K = W M. A, M, K and Z = W Y are formed once per
+    call; an iteration then costs one h-by-h product per column, against
+    2hm + 2m^2 for iterating on x, which is less whenever h < (1 + sqrt 3) m.
+    A column's x is formed only when it retires: as soon as its primal
+    residual ||W x - v|| drops to admm_tol (or at max_admm_iters, which must
+    be at least 1). The unconverged columns live in contiguous working
+    arrays and a retired column is dropped from them, so each column behaves
+    as if it were solved on its own. At lam = 0 the first iteration has
+    z - u = 0, so x = y exactly.
     """
     h, m = W.shape
     if Y.shape[0] != m:
         raise ValueError(f"signals have dimension {Y.shape[0]}, operator expects {m}")
     n_cols = Y.shape[1]
-    # With an overflowing mu, A and its inverse hold junk; the finiteness
-    # check on the x-step gradient below reports the failure.
     with np.errstate(over="ignore", invalid="ignore"):
         A = np.eye(m) + mu * (W.T @ W)
-        A_inv = np.linalg.inv(A)
-        tau = lam / mu
+    # With an overflowing mu, A^-1, M and K would still come out finite
+    # junk and code every column as x = y.
+    if not np.all(np.isfinite(A)):
+        raise NumericalFailure("cosparse coding diverged", 1)
+    M = mu * (np.linalg.inv(A) @ W.T)
+    K = W @ M
+    tau = lam / mu
 
     X = np.empty((m, n_cols))
     V = np.empty((h, n_cols))
@@ -234,43 +251,31 @@ def _code_batch(W, Y, lam, mu, max_admm_iters, admm_tol):
     iterations = np.empty(n_cols, dtype=np.int64)
     # Working set: original column index and the state of each live column.
     idx = np.arange(n_cols)
-    Xa = Y.copy()
-    Ya = Y
-    Va = W @ Xa
+    Za = W @ Y
+    Va = Za
     Da = np.zeros((h, n_cols))
     for t in range(1, max_admm_iters + 1):
+        T = Za - Va
+        T -= Da  # z - u
         with np.errstate(over="ignore", invalid="ignore"):
-            B = W.T @ (Va + Da)
-            B *= mu
-            B += Ya
-            G = A @ Xa
-            G -= B
-            norms = np.sqrt(np.sum(G * G, axis=0))
-            if not np.all(np.isfinite(norms)):
-                raise NumericalFailure("cosparse coding diverged", t)
-            # Columns whose x-step gradient is already negligible are left
-            # untouched, which keeps lam = 0 returning the signal exactly.
-            live = norms > admm_tol
-            # Most iterations have every column live; skipping the boolean
-            # gather and scatter then saves about a tenth of coding time.
-            if live.all():
-                Xa -= A_inv @ G
-            else:
-                Xa[:, live] -= A_inv @ G[:, live]
-        if not np.all(np.isfinite(Xa)):
+            S = Za - K @ T  # W x
+        if not np.all(np.isfinite(S)):
             raise NumericalFailure("cosparse coding diverged", t)
-        WX = W @ Xa
-        Va = soft_threshold(WX - Da, tau)
-        WX -= Va  # the primal residual W x - v
-        Da -= WX
-        r = np.sqrt(np.sum(WX * WX, axis=0))
+        Va = soft_threshold(S - Da, tau)
+        S -= Va  # the primal residual W x - v
+        Da -= S
+        r = np.sqrt(np.sum(S * S, axis=0))
 
         # Not ``r <= admm_tol``: a NaN residual retires its column too.
         done = ~(r > admm_tol) if t < max_admm_iters else np.ones(idx.size, bool)
         if not done.any():
             continue
         cols = idx[done]
-        X[:, cols] = Xa[:, done]
+        with np.errstate(over="ignore", invalid="ignore"):
+            Xd = Y[:, cols] - M @ T[:, done]
+        if not np.all(np.isfinite(Xd)):
+            raise NumericalFailure("cosparse coding diverged", t)
+        X[:, cols] = Xd
         V[:, cols] = Va[:, done]
         D[:, cols] = Da[:, done]
         residual[cols] = r[done]
@@ -279,8 +284,18 @@ def _code_batch(W, Y, lam, mu, max_admm_iters, admm_tol):
         if not keep.any():
             break
         idx = idx[keep]
-        Xa, Ya, Va, Da = Xa[:, keep], Ya[:, keep], Va[:, keep], Da[:, keep]
+        Za, Va, Da = Za[:, keep], Va[:, keep], Da[:, keep]
     return X, V, D, residual, iterations
+
+
+def _admm_counters(residual, iterations, cfg):
+    """Largest ADMM iteration count of a coding call, and the columns whose
+    last residual is not within ``admm_tol``: those that stopped at
+    ``max_admm_iters``, and those retired by a NaN residual."""
+    return {
+        "admm_iters_max": float(iterations.max(initial=0)),
+        "admm_nonconverged": float(np.count_nonzero(~(residual <= cfg.admm_tol))),
+    }
 
 
 def cosparse_code(op, y, cfg):
@@ -380,9 +395,9 @@ def train(Y, cfg, h):
     """Learn an h-row analysis operator from the columns of Y.
 
     Each sweep codes every training column against the current operator,
-    records the total coding objective and the mean cosupport size, then
-    updates every operator row in sequence. Returns the final operator and
-    the per-sweep report.
+    records the total coding objective, the mean cosupport size and the
+    coding call's ``_admm_counters``, then updates every operator row in
+    sequence. Returns the final operator and the per-sweep report.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
@@ -396,7 +411,10 @@ def train(Y, cfg, h):
     reinit_rng = np.random.default_rng((cfg.seed, 0x9E3779B9))
     report = TrainReport()
     for _ in range(cfg.sweeps):
-        X, _, _, _, _ = cosparse_code_many(op, Y, cfg)
+        X, _, _, residual, iterations = cosparse_code_many(op, Y, cfg)
+        counters = _admm_counters(residual, iterations, cfg)
+        report.admm_iters_max_per_sweep.append(int(counters["admm_iters_max"]))
+        report.admm_nonconverged_per_sweep.append(int(counters["admm_nonconverged"]))
         analyzed = op.matrix @ X
         report.objective_per_sweep.append(
             0.5 * float(np.sum((X - Y) ** 2)) + cfg.lam * float(np.abs(analyzed).sum())
@@ -404,11 +422,13 @@ def train(Y, cfg, h):
         report.mean_cosparsity_per_sweep.append(
             float(np.mean(np.sum(np.abs(analyzed) <= cfg.cosupport_tol, axis=0)))
         )
+        reinitialized = 0
         for j in range(h):
             row = update_row(op, j, Y, X, cfg, rng=reinit_rng)
             duplicates = np.abs(np.delete(op.matrix, j, axis=0) @ row)
             if duplicates.max() > DUPLICATE_ROW_COSINE:
                 row = _random_unit_row(reinit_rng, m)
+                reinitialized += 1
             op.matrix[j] = row / np.linalg.norm(row)
-        report.rows_updated_per_sweep.append(h)
+        report.rows_reinitialized_per_sweep.append(reinitialized)
     return op, report

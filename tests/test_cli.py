@@ -71,6 +71,20 @@ def test_train_deterministic_output(workdir, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_train_prints_solver_counters(workdir, tmp_path, capsys):
+    rc = main(["train", "--images", str(workdir["imgdir"]),
+               "--out", str(tmp_path / "op.txt"), "--h", "16", "--m", "9",
+               "--patches", "100", "--sweeps", "2"])
+    assert rc == EXIT_OK
+    report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    for key, low, high in (("admm_iters_max_per_sweep", 1, 1000),
+                           ("admm_nonconverged_per_sweep", 0, 100),
+                           ("rows_reinitialized_per_sweep", 0, 16)):
+        values = [int(v) for v in report[key].split(",")]
+        assert len(values) == 2 and all(low <= v <= high for v in values)
+    assert "rows_updated_per_sweep" not in report
+
+
 def test_train_missing_directory_exits_2(tmp_path, capsys):
     rc = main(["train", "--images", str(tmp_path / "nope"),
                "--out", str(tmp_path / "op.txt")])

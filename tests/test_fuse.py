@@ -1,5 +1,7 @@
 """Tests for the fusion pipeline."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,32 @@ def test_fuse_counts_nan_residual_as_nonconverged(trained_operator, texture_128,
     monkeypatch.setattr(learn, "soft_threshold", nan_in_first_column_once)
     result = fuse([a, b], trained_operator, FusionConfig())
     assert result.diagnostics["admm_nonconverged"] == 1
+
+
+def test_fuse_extracts_each_image_once(trained_operator, texture_128, monkeypatch):
+    """The local pass extracts each input, and the global pass the initial
+    estimate and each round's candidate; the next round codes the
+    candidate's patches from its objective."""
+    fuse_module = importlib.import_module("cosfuse.fuse")
+    calls = {"extract": 0, "code": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fuse_module, "extract_matrix",
+                        counted("extract", fuse_module.extract_matrix))
+    monkeypatch.setattr(fuse_module, "cosparse_code_many",
+                        counted("code", fuse_module.cosparse_code_many))
+    a, b = imageio.synth_multifocus(texture_128[:48, :48], 2.0, split=24)
+    a = imageio.add_gaussian_noise(a, 15.0, seed=1)
+    b = imageio.add_gaussian_noise(b, 15.0, seed=2)
+    result = fuse([a, b], trained_operator, FusionConfig())
+    rounds_coded = calls["code"] - 1
+    assert rounds_coded >= result.diagnostics["global_rounds_run"] >= 1
+    assert calls["extract"] == 2 + 1 + rounds_coded
 
 
 def test_fuse_paper_protocol_runs_to_completion(trained_operator):

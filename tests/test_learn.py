@@ -128,11 +128,14 @@ def test_code_rejects_wrong_length():
 
 
 def test_code_numerical_failure_reports_iteration():
+    # mu overflows A = I + mu W^T W, whose inverse is still finite junk.
     op = learn.init_operator(8, 6, seed=0)
     cfg = learn.TrainConfig(lam=1.0, mu=1e308)
-    with pytest.raises(learn.NumericalFailure) as err:
-        learn.cosparse_code(op, np.ones(6), cfg)
-    assert err.value.iteration >= 1
+    for code, signal in ((learn.cosparse_code, np.ones(6)),
+                         (learn.cosparse_code_many, np.ones((6, 3)))):
+        with pytest.raises(learn.NumericalFailure) as err:
+            code(op, signal, cfg)
+        assert err.value.iteration == 1
 
 
 def test_batch_coding_agrees_with_single():
@@ -158,6 +161,14 @@ def test_batch_columns_capped_at_max_iters_keep_last_residual():
     # The reported residual is that of the returned (x, v), the last iterate.
     np.testing.assert_allclose(
         resid, np.linalg.norm(op.matrix @ X - V, axis=0), rtol=1e-12)
+
+    # The same holds for columns that converge: each x is formed when its
+    # column retires, from that iteration's state, not a later one's.
+    cfg = learn.TrainConfig(lam=0.1)
+    X, V, D, resid, iters = learn.cosparse_code_many(op, Y, cfg)
+    assert np.all(resid <= cfg.admm_tol) and np.all(iters < cfg.max_admm_iters)
+    np.testing.assert_allclose(
+        resid, np.linalg.norm(op.matrix @ X - V, axis=0), rtol=0, atol=1e-12)
 
 
 def test_batch_iteration_counts_match_single_column_solves():
@@ -363,10 +374,20 @@ def test_train_single_sweep_control_flow():
     Y = _small_planted_problem(seed=40)
     cfg = learn.TrainConfig(lam=0.05, sweeps=1, max_admm_iters=100, seed=41)
     op, report = learn.train(Y, cfg, h=33)
-    assert report.rows_updated_per_sweep == [33]
+    assert 1 <= report.admm_iters_max_per_sweep[0] <= cfg.max_admm_iters
+    assert len(report.admm_nonconverged_per_sweep) == 1
+    assert 0 <= report.rows_reinitialized_per_sweep[0] <= 33
     assert len(report.objective_per_sweep) == 1
     with pytest.raises(ValueError):
         learn.TrainConfig(sweeps=0)
+
+
+def test_train_reports_nonconverged_columns():
+    Y = _small_planted_problem(seed=40)
+    cfg = learn.TrainConfig(lam=0.05, sweeps=1, max_admm_iters=1, seed=41)
+    _, report = learn.train(Y, cfg, h=33)
+    assert report.admm_iters_max_per_sweep == [1]
+    assert 0 < report.admm_nonconverged_per_sweep[0] <= Y.shape[1]
 
 
 def test_train_output_rows_unit_norm():
