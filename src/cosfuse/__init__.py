@@ -1,6 +1,6 @@
 """Cosparse analysis operator learning and multi-focus image fusion."""
 
-from .fuse import FusionConfig, FusionResult, fuse, global_reconstruct, local_fuse
+from .fuse import FusionConfig, FusionResult, global_reconstruct, local_fuse
 from .learn import (
     AdmmState,
     AnalysisOperator,
@@ -23,7 +23,6 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "cosparse_code",
-    "fuse",
     "global_reconstruct",
     "init_operator",
     "local_fuse",

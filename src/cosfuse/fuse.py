@@ -34,7 +34,6 @@ __all__ = [
     "FusionConfig",
     "FusionResult",
     "activity",
-    "select_patch",
     "local_fuse",
     "global_reconstruct",
     "fuse",
@@ -50,7 +49,6 @@ _PIXEL_SCALE = 255.0
 class FusionConfig:
     """Hyperparameters of the fusion pipeline."""
 
-    epsilon: float = 0.1
     lambda_local: float = 0.05
     lambda_global: float = 0.02
     patch_size: int = 7
@@ -61,8 +59,6 @@ class FusionConfig:
     global_rounds: int = 3
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.lambda_local < 0 or self.lambda_global < 0:
             raise ValueError("sparsity weights must be nonnegative")
         if self.mu <= 0:
@@ -98,31 +94,13 @@ class FusionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _patch_data(patch):
-    data = patch.data if isinstance(patch, Patch) else patch
-    return np.asarray(data, dtype=np.float64)
-
-
 def activity(op, patch):
     """l1 norm of the analyzed, mean-subtracted patch."""
-    data = _patch_data(patch)
+    data = np.asarray(patch.data if isinstance(patch, Patch) else patch,
+                      dtype=np.float64)
     if data.ndim != 1 or data.size != op.m:
         raise ValueError(f"patch must have length {op.m}, got shape {data.shape}")
     return float(np.abs(op.matrix @ (data - data.mean())).sum())
-
-
-def select_patch(op, candidates):
-    """Pick the highest-activity candidate; ties go to the smallest index.
-
-    Returns (winner index, activity array).
-    """
-    if len(candidates) == 0:
-        raise ValueError("need at least one candidate patch")
-    data = [_patch_data(c) for c in candidates]
-    if len({d.size for d in data}) != 1:
-        raise ValueError("candidate patches must all have the same length")
-    activities = np.array([activity(op, d) for d in data])
-    return int(np.argmax(activities)), activities
 
 
 def _check_images(images):
@@ -181,7 +159,6 @@ def local_fuse(op, images, cfg):
     estimate = overlap_add_matrix(X + means, grid) * _PIXEL_SCALE
 
     patch_l1 = np.abs(W @ X).sum(axis=0)
-    violations = int(np.sum(patch_l1 > cfg.epsilon))
     result = FusionResult(
         fused=estimate.copy(),
         winner_map=winner.reshape(grid.grid_rows, grid.grid_cols),
@@ -190,8 +167,6 @@ def local_fuse(op, images, cfg):
             "cells": float(n_cells),
             "local_l1_mean": float(patch_l1.mean()),
             "local_l1_max": float(patch_l1.max()),
-            "eps_budget": float(cfg.epsilon),
-            "eps_violations": float(violations),
             **_admm_counters(residual, iterations, cfg),
         },
     )

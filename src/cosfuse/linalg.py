@@ -36,15 +36,6 @@ def _as_matrix(M, name="matrix"):
     return M
 
 
-def _as_vector(v, name="vector"):
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-d, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
-
-
 def soft_threshold(v, tau):
     """Componentwise shrinkage: sign(v) * max(|v| - tau, 0).
 

@@ -129,6 +129,13 @@ def q_mi(A, B, F):
 _SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 _SOBEL_Y = np.array([[-1.0, -2.0, -1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 1.0]])
 
+# Xydeas-Petrovic sigmoid constants (Electronics Letters 2000): gain, slope
+# and midpoint of the strength (G) and orientation (A) preservation curves,
+# and the exponent of the edge-strength weights.
+_GAMMA_G, _KAPPA_G, _SIGMA_G = 0.9994, -15.0, 0.5
+_GAMMA_A, _KAPPA_A, _SIGMA_A = 0.9879, -22.0, 0.8
+_WEIGHT_EXPONENT = 1.0
+
 
 def _conv3x3(image, kernel):
     padded = np.pad(image, 1, mode="symmetric")
@@ -155,8 +162,7 @@ def edge_map(A):
     return EdgeMap(strength=strength, orientation=orientation)
 
 
-def q_abf(A, B, F, gamma_g=0.9994, kappa_g=-15.0, sigma_g=0.5,
-          gamma_a=0.9879, kappa_a=-22.0, sigma_a=0.8, weight_exponent=1.0):
+def q_abf(A, B, F):
     """Edge-transfer fusion score in [0, 1].
 
     Per source image and pixel, the strength factor uses the weaker-to-
@@ -171,10 +177,10 @@ def q_abf(A, B, F, gamma_g=0.9994, kappa_g=-15.0, sigma_g=0.5,
     e_a, e_b, e_f = edge_map(A), edge_map(B), edge_map(F)
 
     def sig_g(x):
-        return gamma_g / (1.0 + np.exp(kappa_g * (x - sigma_g)))
+        return _GAMMA_G / (1.0 + np.exp(_KAPPA_G * (x - _SIGMA_G)))
 
     def sig_a(x):
-        return gamma_a / (1.0 + np.exp(kappa_a * (x - sigma_a)))
+        return _GAMMA_A / (1.0 + np.exp(_KAPPA_A * (x - _SIGMA_A)))
 
     perfect = sig_g(1.0) * sig_a(1.0)
 
@@ -185,8 +191,8 @@ def q_abf(A, B, F, gamma_g=0.9994, kappa_g=-15.0, sigma_g=0.5,
         agree = 1.0 - 2.0 * np.abs(e_x.orientation - e_f.orientation) / np.pi
         return sig_g(ratio) * sig_a(agree) / perfect
 
-    w_a = e_a.strength ** weight_exponent
-    w_b = e_b.strength ** weight_exponent
+    w_a = e_a.strength ** _WEIGHT_EXPONENT
+    w_b = e_b.strength ** _WEIGHT_EXPONENT
     denom = float((w_a + w_b).sum())
     if denom == 0.0:
         return 1.0  # no edges anywhere: transfer is vacuously perfect

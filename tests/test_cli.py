@@ -179,7 +179,7 @@ def test_fuse_writes_all_artifacts(workdir, tmp_path):
     assert activity[0] == winners[0]
     assert len(activity[1].split()) == cols * 2  # two candidates per cell
     diag = (tmp_path / "fused_diag.txt").read_text()
-    assert "eps_violations=" in diag and "global_objective_final=" in diag
+    assert "local_l1_max=" in diag and "global_objective_final=" in diag
 
 
 def test_fuse_size_mismatch_exits_2_without_outputs(workdir, tmp_path):
