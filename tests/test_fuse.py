@@ -86,6 +86,20 @@ def test_local_fuse_identity_on_identical_clean_inputs(trained_operator, texture
     assert np.all(result.winner_map == 0)
 
 
+def test_select_patch_tie_breaks_to_smallest_index(random_operator):
+    # Patch selection lives in local_fuse: three identical textured sources
+    # give equal, nonzero activities in every cell, and source 0 wins each.
+    image = np.random.default_rng(3).uniform(0, 255, (25, 25))
+    _, result = local_fuse(random_operator, [image.copy() for _ in range(3)],
+                           FusionConfig())
+    acts = result.activity
+    assert acts.shape == (4, 4, 3)
+    assert np.all(acts[..., 0] > 0.0)
+    assert np.array_equal(acts[..., 0], acts[..., 1])
+    assert np.array_equal(acts[..., 0], acts[..., 2])
+    assert np.all(result.winner_map == 0)
+
+
 def test_local_fuse_winner_map_matches_activity_oracle(trained_operator, texture_128):
     a, b = imageio.synth_multifocus(texture_128, 2.0, split=64)
     cfg = FusionConfig()
