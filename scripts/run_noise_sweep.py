@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Run the patch-size / noise-level sweep on a synthetic scene.
 
-Builds a mixed smooth-plus-textured ground truth, saves it as PGM, and
-invokes the ``cosfuse sweep`` command, which trains one operator per patch
-size n in {5..9} and fuses/evaluates at noise levels {0, 5, 10, 15, 20}.
+Builds the scene of acceptance criterion 7 (``tests/conftest.py``
+``make_scene``: fine texture and gratings on both sides of a low-gradient
+corridor at the focus split), saves it as PGM, and invokes the
+``cosfuse sweep`` command, which trains one operator per patch size n in
+{5..9} and fuses/evaluates at noise levels {0, 5, 10, 15, 20}.
 The resulting CSV (columns n, sigma, q_mi, q_abf, psnr) is left at --out.
 """
 
@@ -11,29 +13,12 @@ import argparse
 import os
 import sys
 
-import numpy as np
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tests")]
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
+from conftest import make_scene  # noqa: E402
 from cosfuse import imageio  # noqa: E402
 from cosfuse.cli import main as cli_main  # noqa: E402
-
-
-def make_scene(width, height, seed=0):
-    yy, xx = np.mgrid[0:height, 0:width].astype(float)
-    img = 128.0 + 48.0 * np.sin(2 * np.pi * xx / 52.0) * np.sin(2 * np.pi * yy / 44.0)
-    tex = (40.0 * np.sign(np.sin(0.55 * xx + 0.31 * yy))
-           + 26.0 * np.sin(0.35 * xx) * np.sin(0.41 * yy))
-    mask = ((xx + width * (yy / height)) % width) < 0.45 * width
-    img = np.where(mask, 128.0 + tex, img)
-    disk = ((yy - 0.72 * height) ** 2 + (xx - 0.30 * width) ** 2
-            < (0.13 * min(width, height)) ** 2)
-    img[disk] = 45.0
-    img[(yy > 0.12 * height) & (yy < 0.30 * height)
-        & (xx > 0.62 * width) & (xx < 0.92 * width)] = 210.0
-    rng = np.random.default_rng(seed)
-    img = img + imageio.gaussian_blur(rng.uniform(-14, 14, (height, width)), 1.2)
-    return np.clip(img, 0.0, 255.0)
 
 
 def main():

@@ -37,7 +37,7 @@ from . import imageio, metrics
 from .fuse import (FusionConfig, activity_text, diagnostics_text,
                    fuse as fuse_images, winner_map_text)
 from .learn import (AnalysisOperator, NumericalFailure, TrainConfig,
-                    sample_training_patches, train)
+                    _check_setting, sample_training_patches, train)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -46,7 +46,6 @@ EXIT_NUMERIC = 3
 
 SWEEP_PATCH_SIZES = (5, 6, 7, 8, 9)
 SWEEP_NOISE_LEVELS = (0, 5, 10, 15, 20)
-OPERATOR_REDUNDANCY = 64.0 / 49.0
 
 
 class InputError(Exception):
@@ -173,8 +172,10 @@ def _validate_threads(threads):
 
 _TRAIN_OPTIONS = {
     **_options(TrainConfig),
-    "h": 64, "m": 49, "patches": 10_000, "threads": 1,
+    "h": 64, "m": FusionConfig.patch_size ** 2, "patches": 10_000, "threads": 1,
 }
+# Rows per signal dimension of the operators that sweep trains: train's h/m.
+OPERATOR_REDUNDANCY = _TRAIN_OPTIONS["h"] / _TRAIN_OPTIONS["m"]
 
 
 def cmd_train(ns):
@@ -235,8 +236,8 @@ def _derived_path(out, suffix):
 def cmd_fuse(ns):
     cfgv = _merge_config(_FUSE_OPTIONS, ns)
     _validate_threads(cfgv["threads"])
-    if cfgv["sigma"] < 0:
-        raise InputError(f"sigma must be nonnegative, got {cfgv['sigma']}")
+    with _bad_input():
+        _check_setting("sigma", cfgv["sigma"])
     images = [_load_image(p) for p in ns.inputs]
     shapes = {img.shape for img in images}
     if len(shapes) != 1:
@@ -280,10 +281,9 @@ _PAIR_OPTIONS = {"sigma_b": 2.0, "split": 0}
 
 def _multifocus_pair(truth, cfgv):
     """The synth_multifocus pair of ``truth``; split 0 is the middle column."""
-    if cfgv["sigma_b"] < 0:
-        raise InputError(f"sigma-b must be nonnegative, got {cfgv['sigma_b']}")
     split = cfgv["split"] or truth.shape[1] // 2
     with _bad_input():
+        _check_setting("sigma-b", cfgv["sigma_b"])
         return imageio.synth_multifocus(truth, cfgv["sigma_b"], split)
 
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .learn import TrainConfig, _admm_counters, cosparse_code_many
+from .learn import (PIXEL_SCALE, TrainConfig, _admm_counters, _check_setting,
+                    cosparse_code_many)
 from .linalg import spectral_norm_sq  # unused; bench/tracing.py wraps this attribute
 from .patches import Patch, build_grid, extract_matrix, overlap_add_matrix
 
@@ -42,31 +43,24 @@ __all__ = [
     "diagnostics_text",
 ]
 
-_PIXEL_SCALE = 255.0
-
-
 @dataclass
 class FusionConfig:
-    """Hyperparameters of the fusion pipeline."""
+    """Hyperparameters of the fusion pipeline. The coding solver's settings
+    default to, and are checked by, ``TrainConfig``."""
 
     lambda_local: float = 0.05
     lambda_global: float = 0.02
     patch_size: int = 7
     overlap: int = 1
-    mu: float = 1.0
-    admm_tol: float = 1e-6
-    max_admm_iters: int = 1000
+    mu: float = TrainConfig.mu
+    admm_tol: float = TrainConfig.admm_tol
+    max_admm_iters: int = TrainConfig.max_admm_iters
     global_rounds: int = 3
 
     def __post_init__(self):
-        if self.lambda_local < 0 or self.lambda_global < 0:
-            raise ValueError("sparsity weights must be nonnegative")
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.admm_tol <= 0:
-            raise ValueError("admm_tol must be positive")
-        if self.max_admm_iters < 1:
-            raise ValueError("max_admm_iters must be at least 1")
+        _check_setting("lambda_local", self.lambda_local)
+        _check_setting("lambda_global", self.lambda_global)
+        self._coding_config(self.lambda_local)  # checks the solver settings
         if not 0 <= self.overlap < self.patch_size:
             raise ValueError(
                 f"overlap must satisfy 0 <= p < n, got p={self.overlap}, "
@@ -141,7 +135,7 @@ def local_fuse(op, images, cfg):
     W = op.matrix
     n_cells = grid.cell_count
 
-    candidates = [extract_matrix(img / _PIXEL_SCALE, grid) for img in arrays]
+    candidates = [extract_matrix(img / PIXEL_SCALE, grid) for img in arrays]
     acts = np.stack([
         np.abs(W @ (P - P.mean(axis=0))).sum(axis=0) for P in candidates
     ])  # (K, cells)
@@ -156,7 +150,7 @@ def local_fuse(op, images, cfg):
     X, _, _, residual, iterations = cosparse_code_many(
         op, P_win - means, cfg._coding_config(cfg.lambda_local),
     )
-    estimate = overlap_add_matrix(X + means, grid) * _PIXEL_SCALE
+    estimate = overlap_add_matrix(X + means, grid) * PIXEL_SCALE
 
     patch_l1 = np.abs(W @ X).sum(axis=0)
     result = FusionResult(
@@ -191,7 +185,7 @@ def _global_impl(op, initial, cfg):
     grid = _grid_for(op, initial.shape, cfg)
     W = op.matrix
     lam = cfg.lambda_global
-    I0 = initial / _PIXEL_SCALE
+    I0 = initial / PIXEL_SCALE
 
     def objective(img):
         """Data fidelity plus weighted patchwise analyzed l1 norm of ``img``,
@@ -225,7 +219,7 @@ def _global_impl(op, initial, cfg):
         "global_objective_final": best_obj,
         **counters,
     }
-    return best * _PIXEL_SCALE, diag
+    return best * PIXEL_SCALE, diag
 
 
 def global_reconstruct(op, initial, cfg):

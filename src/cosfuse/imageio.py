@@ -129,8 +129,8 @@ def add_gaussian_noise(image, sigma, seed):
     No clamping is applied; downstream solvers see the unclamped values.
     """
     image = _check_image(image)
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if sigma == 0:
         return image.copy()
     rng = np.random.default_rng(seed)
@@ -139,8 +139,8 @@ def add_gaussian_noise(image, sigma, seed):
 
 def gaussian_kernel(sigma):
     """Normalized truncated Gaussian kernel with radius ceil(3*sigma)."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if sigma == 0:
         return np.ones(1)
     radius = int(math.ceil(3.0 * sigma))

@@ -31,6 +31,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,6 @@ from .linalg import (
     matrix_text,
     soft_threshold,
     spectral_norm_sq,  # unused; bench/tracing.py wraps this attribute
-    sym_eig,
     sym_eig_smallest,
 )
 
@@ -55,8 +55,6 @@ __all__ = [
     "sample_training_patches",
     "cosparse_code",
     "cosparse_code_many",
-    "cosupport",
-    "cosupport_rank",
     "update_row",
     "train",
 ]
@@ -75,6 +73,19 @@ class NumericalFailure(RuntimeError):
 # Without this guard every row converges to the single lowest-energy
 # direction of smooth image-patch data and the operator collapses to rank 1.
 DUPLICATE_ROW_COSINE = 0.999
+
+# Pixel values are divided by this before any operator sees them, in
+# training and in fusion alike.
+PIXEL_SCALE = 255.0
+
+
+def _check_setting(name, value, positive=False):
+    """Reject a float setting that is not finite, is negative or, if
+    ``positive``, is zero. Written so that NaN fails too."""
+    low_ok = value > 0 if positive else value >= 0
+    if not (math.isfinite(value) and low_ok):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {kind}, got {value}")
 
 
 @dataclass
@@ -137,12 +148,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.admm_tol <= 0 or self.cosupport_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        _check_setting("lam", self.lam)
+        _check_setting("mu", self.mu, positive=True)
+        _check_setting("admm_tol", self.admm_tol, positive=True)
+        _check_setting("cosupport_tol", self.cosupport_tol, positive=True)
         if self.max_admm_iters < 1:
             raise ValueError("max_admm_iters must be at least 1")
         if self.sweeps < 1:
@@ -203,7 +212,7 @@ def sample_training_patches(images, n, count, seed):
         img = usable[int(rng.integers(len(usable)))]
         top = int(rng.integers(img.shape[0] - n + 1))
         left = int(rng.integers(img.shape[1] - n + 1))
-        block = img[top:top + n, left:left + n].reshape(m) / 255.0
+        block = img[top:top + n, left:left + n].reshape(m) / PIXEL_SCALE
         block = block - block.mean()
         norm = np.linalg.norm(block)
         if norm < 1e-8:
@@ -213,8 +222,8 @@ def sample_training_patches(images, n, count, seed):
     return Y
 
 
-def _code_batch(W, Y, lam, mu, max_admm_iters, admm_tol):
-    """ADMM cosparse coding of every column of Y against operator W.
+def cosparse_code_many(op, Y, cfg):
+    """ADMM cosparse coding of every column of Y against the operator W.
 
     Returns (X, V, D, primal residuals, iterations used). The loop iterates
     on s = W x rather than on x. With u = v + d, the exact x-step
@@ -224,12 +233,19 @@ def _code_batch(W, Y, lam, mu, max_admm_iters, admm_tol):
     call; an iteration then costs one h-by-h product per column, against
     2hm + 2m^2 for iterating on x, which is less whenever h < (1 + sqrt 3) m.
     A column's x is formed only when it retires: as soon as its primal
-    residual ||W x - v|| drops to admm_tol (or at max_admm_iters, which must
-    be at least 1). The unconverged columns live in contiguous working
-    arrays and a retired column is dropped from them, so each column behaves
-    as if it were solved on its own. At lam = 0 the first iteration has
-    z - u = 0, so x = y exactly.
+    residual ||W x - v|| drops to ``cfg.admm_tol``, or at
+    ``cfg.max_admm_iters``. The unconverged columns live in contiguous
+    working arrays and a retired column is dropped from them, so each column
+    behaves as if it were solved on its own. At lam = 0 the first iteration
+    has z - u = 0, so x = y exactly.
     """
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim != 2:
+        raise ValueError("Y must be a 2-d array of column signals")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("Y contains non-finite entries")
+    W, lam, mu = op.matrix, cfg.lam, cfg.mu
+    max_admm_iters, admm_tol = cfg.max_admm_iters, cfg.admm_tol
     h, m = W.shape
     if Y.shape[0] != m:
         raise ValueError(f"signals have dimension {Y.shape[0]}, operator expects {m}")
@@ -303,11 +319,7 @@ def cosparse_code(op, y, cfg):
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size != op.m:
         raise ValueError(f"signal must have length {op.m}, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("signal contains non-finite entries")
-    X, V, D, residual, iterations = _code_batch(
-        op.matrix, y[:, None], cfg.lam, cfg.mu, cfg.max_admm_iters, cfg.admm_tol,
-    )
+    X, V, D, residual, iterations = cosparse_code_many(op, y[:, None], cfg)
     return AdmmState(
         x=X[:, 0],
         v=V[:, 0],
@@ -315,48 +327,6 @@ def cosparse_code(op, y, cfg):
         primal_residual=float(residual[0]),
         iterations_used=int(iterations[0]),
     )
-
-
-def cosparse_code_many(op, Y, cfg):
-    """Code every column of Y; returns (X, V, D, residuals, iterations)."""
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim != 2:
-        raise ValueError("Y must be a 2-d array of column signals")
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("Y contains non-finite entries")
-    return _code_batch(
-        op.matrix, Y, cfg.lam, cfg.mu, cfg.max_admm_iters, cfg.admm_tol,
-    )
-
-
-def cosupport(op, x, eps):
-    """Indices of operator rows with |<row, x>| <= eps."""
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (op.m,):
-        raise ValueError(f"signal must have length {op.m}, got shape {x.shape}")
-    return np.flatnonzero(np.abs(op.matrix @ x) <= eps)
-
-
-def cosupport_rank(op, lambda_set):
-    """Numerical rank of the row submatrix selected by ``lambda_set``.
-
-    Counted from the eigenvalues of the submatrix Gram: entries above
-    1e-10 times the largest eigenvalue.
-    """
-    idx = np.asarray(lambda_set, dtype=np.int64)
-    if idx.size == 0:
-        return 0
-    if idx.min() < 0 or idx.max() >= op.h:
-        raise ValueError("row indices out of range")
-    sub = op.matrix[idx]
-    S = gram(sub) if sub.shape[0] <= sub.shape[1] else gram(sub.T)
-    w, _ = sym_eig(S)
-    top = w[-1]
-    if top <= 0:
-        return 0
-    return int(np.sum(w > 1e-10 * top))
 
 
 def _random_unit_row(rng, m):

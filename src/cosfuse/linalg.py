@@ -18,7 +18,6 @@ __all__ = [
     "sym_eig_smallest",
     "spectral_norm_sq",
     "matrix_text",
-    "save_matrix_text",
     "load_matrix_text",
     "MatrixFormatError",
 ]
@@ -135,15 +134,8 @@ def matrix_text(M, comments=()):
     return "\n".join(lines) + "\n"
 
 
-def save_matrix_text(path, M, comments=()):
-    """Write :func:`matrix_text` of ``M`` to ``path``."""
-    text = matrix_text(M, comments)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
-
-
 def load_matrix_text(path):
-    """Read a matrix written by :func:`save_matrix_text`.
+    """Read a matrix in the :func:`matrix_text` format.
 
     Returns (matrix, comment lines without the leading '#')."""
     with open(path, "r", encoding="ascii") as fh:

@@ -3,7 +3,8 @@
 Two source images A and B and a fused image F are compared with:
 
 * ``q_mi``: information preservation. Pixels are quantized to 256 bins and
-  mutual information is estimated from joint histograms. The score is
+  mutual information is estimated from the (joint) pixel histograms. The
+  score is
   I(A;F)/(H(A)+H(F)) + I(B;F)/(H(B)+H(F)), which sits in [0, 1] and equals
   1 when F reproduces identical sources.
 * ``q_abf``: edge transfer. Sobel strength and orientation maps are compared
@@ -23,12 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "JointHistogram",
     "EdgeMap",
     "mse",
     "psnr",
     "entropy",
-    "joint_histogram",
     "mutual_information",
     "q_mi",
     "q_abf",
@@ -37,15 +36,6 @@ __all__ = [
 ]
 
 PSNR_CAP_DB = 150.0
-
-
-@dataclass
-class JointHistogram:
-    """256x256 joint pixel counts plus marginals (row 0: first image)."""
-
-    bins: np.ndarray
-    marginals: np.ndarray
-    total: int
 
 
 @dataclass
@@ -81,49 +71,42 @@ def psnr(A, B):
 
 
 def _quantize(A):
-    return np.clip(np.rint(A), 0, 255).astype(np.int64)
+    """Pixel values rounded into the 256 bins 0..255, flattened."""
+    A = np.asarray(A, dtype=np.float64)
+    return np.clip(np.rint(A), 0, 255).astype(np.int64).ravel()
 
 
-def _entropy_from_counts(counts, total):
-    p = counts[counts > 0] / total
+def _entropy(codes):
+    """Shannon entropy in bits of the distribution of nonnegative integer
+    codes: a quantized image, or ``a * 256 + b`` for a pixel pair."""
+    counts = np.bincount(codes)
+    p = counts[counts > 0] / codes.size
     return float(-(p * np.log2(p)).sum())
 
 
 def entropy(A):
     """Shannon entropy in bits of the 256-bin quantized pixel distribution."""
-    A = np.asarray(A, dtype=np.float64)
-    q = _quantize(A).ravel()
-    counts = np.bincount(q, minlength=256)
-    return _entropy_from_counts(counts, q.size)
-
-
-def joint_histogram(A, B):
-    """Joint 256x256 histogram of two quantized images."""
-    A, B = _check_pair(A, B)
-    a = _quantize(A).ravel()
-    b = _quantize(B).ravel()
-    bins = np.bincount(a * 256 + b, minlength=256 * 256).reshape(256, 256)
-    marginals = np.stack([bins.sum(axis=1), bins.sum(axis=0)])
-    return JointHistogram(bins=bins, marginals=marginals, total=int(a.size))
+    return _entropy(_quantize(A))
 
 
 def mutual_information(A, B):
     """Mutual information in bits: H(A) + H(B) - H(A, B)."""
-    jh = joint_histogram(A, B)
-    h_a = _entropy_from_counts(jh.marginals[0], jh.total)
-    h_b = _entropy_from_counts(jh.marginals[1], jh.total)
-    h_ab = _entropy_from_counts(jh.bins.ravel(), jh.total)
-    return h_a + h_b - h_ab
+    a, b = (_quantize(X) for X in _check_pair(A, B))
+    return _entropy(a) + _entropy(b) - _entropy(a * 256 + b)
 
 
 def q_mi(A, B, F):
     """Normalized mutual-information fusion score in [0, 1]."""
-    h_a, h_b, h_f = entropy(A), entropy(B), entropy(F)
+    _check_pair(A, F)
+    _check_pair(B, F)
+    a, b, f = _quantize(A), _quantize(B), _quantize(F)
+    h_a, h_b, h_f = _entropy(a), _entropy(b), _entropy(f)
     if h_a + h_f == 0.0 or h_b + h_f == 0.0:
         warnings.warn("q_mi is degenerate for zero-entropy inputs; returning 0")
         return 0.0
-    return (mutual_information(A, F) / (h_a + h_f)
-            + mutual_information(B, F) / (h_b + h_f))
+    mi_af = h_a + h_f - _entropy(a * 256 + f)
+    mi_bf = h_b + h_f - _entropy(b * 256 + f)
+    return mi_af / (h_a + h_f) + mi_bf / (h_b + h_f)
 
 
 _SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])

@@ -125,10 +125,26 @@ def test_train_rejects_non_square_m(workdir, tmp_path):
     ["train", "--h", "4", "--m", "9", "--patches", "50"],
     ["train", "--h", "16", "--m", "9", "--patches", "10"],
     ["train", "--m", "-4"],
+    # NaN fails every comparison, so it must not slip past a range check.
+    ["train", "--lam", "nan"],
+    ["train", "--mu", "nan"],
+    ["train", "--admm-tol", "nan"],
+    ["train", "--cosupport-tol", "nan"],
+    ["train", "--lam", "inf"],
+    ["fuse", "--lambda-local", "nan"],
+    ["fuse", "--lambda-global", "nan"],
+    ["fuse", "--admm-tol", "nan"],
+    ["fuse", "--mu", "nan"],
+    ["fuse", "--sigma", "nan"],
+    ["fuse", "--sigma", "inf"],
+    ["sweep", "--lambda-global", "nan"],
+    ["sweep", "--sigma-b", "inf"],
 ], ids=" ".join)
 def test_bad_option_values_exit_2_without_output(workdir, tmp_path, argv):
     cmd, *options = argv
     source = {"train": ["--images", str(workdir["imgdir"])],
+              "fuse": ["--inputs", str(workdir["imgdir"] / "a.pgm"),
+                       str(workdir["imgdir"] / "b.pgm"), "--op", str(workdir["op"])],
               "sweep": ["--truth", str(workdir["truth"])]}[cmd]
     rc = main([cmd, *source, "--out", str(tmp_path / "out.txt"), *options])
     assert rc == EXIT_INPUT

@@ -214,52 +214,6 @@ def test_batch_nan_residual_retires_column(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# cosupport
-
-def test_cosupport_exact_orthogonality():
-    W = np.eye(5)
-    W = np.vstack([W, np.full(5, 1 / np.sqrt(5))])
-    op = learn.AnalysisOperator(W)
-    x = np.array([0.0, 1.0, 0.0, 1.0, -2.0])
-    idx = learn.cosupport(op, x, eps=1e-9)
-    np.testing.assert_array_equal(idx, [0, 2, 5])  # row 5 sums to 0 here
-
-
-def test_cosupport_all_rows_with_large_eps():
-    op = learn.init_operator(10, 7, seed=14)
-    x = np.random.default_rng(15).standard_normal(7)
-    big = np.abs(op.matrix @ x).max()
-    np.testing.assert_array_equal(learn.cosupport(op, x, big), np.arange(10))
-
-
-def test_cosupport_matches_exhaustive_scan():
-    op = learn.init_operator(40, 30, seed=16)
-    x = np.random.default_rng(17).standard_normal(30)
-    eps = 0.2
-    expected = [j for j in range(40) if abs(float(op.matrix[j] @ x)) <= eps]
-    np.testing.assert_array_equal(learn.cosupport(op, x, eps), expected)
-
-
-def test_cosupport_rank_duplicate_rows():
-    row = np.random.default_rng(18).standard_normal(6)
-    row /= np.linalg.norm(row)
-    W = np.vstack([row, row, np.eye(6)])
-    W /= np.linalg.norm(W, axis=1, keepdims=True)
-    op = learn.AnalysisOperator(W)
-    assert learn.cosupport_rank(op, [0, 1]) == 1
-
-
-def test_cosupport_rank_full():
-    op = learn.init_operator(30, 20, seed=19)
-    assert learn.cosupport_rank(op, list(range(20))) == 20
-
-
-def test_cosupport_rank_empty_set():
-    op = learn.init_operator(8, 5, seed=20)
-    assert learn.cosupport_rank(op, []) == 0
-
-
-# ---------------------------------------------------------------------------
 # update_row
 
 def _row_objective(row, Y_J):

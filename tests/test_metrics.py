@@ -103,13 +103,47 @@ def test_mi_matches_brute_force_oracle():
     assert metrics.entropy(A) == pytest.approx(_entropy_oracle(A), abs=1e-12)
 
 
-def test_joint_histogram_invariants():
-    A, B = _rand_img((10, 10), 8), _rand_img((10, 10), 9)
-    jh = metrics.joint_histogram(A, B)
-    assert jh.total == 100
-    assert jh.bins.sum() == 100
-    np.testing.assert_array_equal(jh.marginals[0], jh.bins.sum(axis=1))
-    np.testing.assert_array_equal(jh.marginals[1], jh.bins.sum(axis=0))
+# The joint-histogram computation that mutual_information and q_mi used
+# before they shared one bincount entropy helper: a 256x256 joint histogram
+# per image pair, with the marginal entropies taken from its sums.
+
+def _quantized(A):
+    return np.clip(np.rint(A), 0, 255).astype(np.int64).ravel()
+
+
+def _h(counts, total):
+    p = counts[counts > 0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
+def _joint_histogram_mi(A, B):
+    a, b = _quantized(A), _quantized(B)
+    bins = np.bincount(a * 256 + b, minlength=256 * 256).reshape(256, 256)
+    return (_h(bins.sum(axis=1), a.size) + _h(bins.sum(axis=0), a.size)
+            - _h(bins.ravel(), a.size))
+
+
+def _joint_histogram_q_mi(A, B, F):
+    h_a, h_b, h_f = (_h(np.bincount(_quantized(X), minlength=256), X.size)
+                     for X in (A, B, F))
+    if h_a + h_f == 0.0 or h_b + h_f == 0.0:
+        return 0.0
+    return (_joint_histogram_mi(A, F) / (h_a + h_f)
+            + _joint_histogram_mi(B, F) / (h_b + h_f))
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (16, 16), (64, 64)])
+def test_q_mi_and_mi_match_joint_histogram_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0])
+    for trial in range(30):
+        # Out-of-range pixels too, so the clamp to [0, 255] is exercised.
+        A, B, F = (rng.uniform(-30.0, 285.0, shape) for _ in range(3))
+        if trial % 3 == 0:
+            F = np.rint(A / 16.0) * 16.0  # F shares structure with A
+        got_mi = np.float64(metrics.mutual_information(A, F)).tobytes()
+        assert got_mi == np.float64(_joint_histogram_mi(A, F)).tobytes()
+        got = np.float64(metrics.q_mi(A, B, F)).tobytes()
+        assert got == np.float64(_joint_histogram_q_mi(A, B, F)).tobytes()
 
 
 # ---------------------------------------------------------------------------
