@@ -80,8 +80,7 @@ def _atomic_write(path, data):
 
 
 def _load_config_file(path):
-    if not os.path.isfile(path):
-        raise InputError(f"config file not found: {path}")
+    _require_file(path, "config file")
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -147,11 +146,10 @@ def _require_file(path, what):
 
 def _load_image(path):
     _require_file(path, "image")
-    with open(path, "rb") as fh:
-        try:
-            return imageio.read_pgm(fh.read())
-        except imageio.PgmFormatError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+    try:
+        return imageio.load_pgm(path)
+    except imageio.PgmFormatError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _load_operator(path):

@@ -126,9 +126,9 @@ def _grid_for(op, shape, cfg):
 def local_fuse(op, images, cfg):
     """Select and denoise the winner patch per grid cell.
 
-    Returns (initial fused estimate, FusionResult carrying the winner map,
-    the per-cell activities, and local-stage diagnostics). The estimate is
-    not clamped.
+    Returns a FusionResult whose ``fused`` is the initial fused estimate,
+    not clamped, with the winner map, the per-cell activities and the
+    local-stage diagnostics.
     """
     arrays = _check_images(images)
     grid = _grid_for(op, arrays[0].shape, cfg)
@@ -150,11 +150,9 @@ def local_fuse(op, images, cfg):
     X, _, _, residual, iterations = cosparse_code_many(
         op, P_win - means, cfg._coding_config(cfg.lambda_local),
     )
-    estimate = overlap_add_matrix(X + means, grid) * PIXEL_SCALE
-
     patch_l1 = np.abs(W @ X).sum(axis=0)
-    result = FusionResult(
-        fused=estimate.copy(),
+    return FusionResult(
+        fused=overlap_add_matrix(X + means, grid) * PIXEL_SCALE,
         winner_map=winner.reshape(grid.grid_rows, grid.grid_cols),
         activity=acts.T.reshape(grid.grid_rows, grid.grid_cols, len(candidates)),
         diagnostics={
@@ -164,7 +162,6 @@ def local_fuse(op, images, cfg):
             **_admm_counters(residual, iterations, cfg),
         },
     )
-    return estimate, result
 
 
 def _merge_admm_counters(into, counters):
@@ -239,8 +236,8 @@ def global_reconstruct(op, initial, cfg):
 def fuse(images, op, cfg):
     """Full fusion pipeline: local selection and denoising, then global
     reconstruction, then a final clamp to [0, 255]."""
-    estimate, result = local_fuse(op, images, cfg)
-    refined, gdiag = _global_impl(op, estimate, cfg)
+    result = local_fuse(op, images, cfg)
+    refined, gdiag = _global_impl(op, result.fused, cfg)
     _merge_admm_counters(gdiag, result.diagnostics)
     result.diagnostics.update(gdiag)
     result.fused = np.clip(refined, 0.0, 255.0)

@@ -22,8 +22,9 @@ columns):
   orthogonal to it and replace w with the unit vector minimizing the summed
   squared inner products against the corresponding training columns, i.e.
   the smallest eigenvector (LAPACK ``eigh``) of the Gram matrix of that
-  column subset. Rows whose orthogonal set is empty are re-initialized at
-  random.
+  column subset. ``train`` re-initializes a row at random for either of two
+  reasons: its orthogonal set is empty, or its update lands on a near-copy
+  of another row (``DUPLICATE_ROW_COSINE``). Both are counted per sweep.
 
 All randomness is derived from explicit seeds (numpy PCG64), so training is
 bit-reproducible.
@@ -124,15 +125,9 @@ class AnalysisOperator:
         return matrix_text(self.matrix,
                            comments=[f"analysis-operator h={self.h} m={self.m}"])
 
-    def save(self, path):
-        text = self.to_text()
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-
     @classmethod
     def load(cls, path):
-        M, _ = load_matrix_text(path)
-        return cls(M)
+        return cls(load_matrix_text(path))
 
 
 @dataclass
@@ -179,7 +174,8 @@ class TrainReport:
     mean_cosparsity_per_sweep: list = field(default_factory=list)
     admm_iters_max_per_sweep: list = field(default_factory=list)
     admm_nonconverged_per_sweep: list = field(default_factory=list)
-    # Rows the duplicate guard replaced with a random row.
+    # Rows replaced with a random row: those with an empty orthogonal set
+    # and those the duplicate guard rejected.
     rows_reinitialized_per_sweep: list = field(default_factory=list)
 
 
@@ -337,13 +333,13 @@ def _random_unit_row(rng, m):
             return w / nrm
 
 
-def update_row(op, j, Y, X, cfg, rng=None):
+def update_row(op, j, Y, X, cfg):
     """New value for operator row ``j`` given training data and coded signals.
 
     The orthogonal column set J is taken from the current row against the
     coded signals X. The returned row is the unit minimizer of the summed
-    squared inner products with the training columns Y restricted to J, or a
-    fresh random unit row when J is empty.
+    squared inner products with the training columns Y restricted to J, or
+    None when J is empty.
     """
     if not 0 <= j < op.h:
         raise ValueError(f"row index {j} out of range for h={op.h}")
@@ -354,9 +350,7 @@ def update_row(op, j, Y, X, cfg, rng=None):
     scores = op.matrix[j] @ X
     J = np.flatnonzero(np.abs(scores) <= cfg.cosupport_tol)
     if J.size == 0:
-        if rng is None:
-            rng = np.random.default_rng((cfg.seed, j))
-        return _random_unit_row(rng, op.m)
+        return None
     _, vec = sym_eig_smallest(gram(Y[:, J]))
     return vec
 
@@ -367,7 +361,9 @@ def train(Y, cfg, h):
     Each sweep codes every training column against the current operator,
     records the total coding objective, the mean cosupport size and the
     coding call's ``_admm_counters``, then updates every operator row in
-    sequence. Returns the final operator and the per-sweep report.
+    sequence. A row with an empty orthogonal set, or whose update nearly
+    copies another row, is drawn at random instead and counted. Returns the
+    final operator and the per-sweep report.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
@@ -394,9 +390,9 @@ def train(Y, cfg, h):
         )
         reinitialized = 0
         for j in range(h):
-            row = update_row(op, j, Y, X, cfg, rng=reinit_rng)
-            duplicates = np.abs(np.delete(op.matrix, j, axis=0) @ row)
-            if duplicates.max() > DUPLICATE_ROW_COSINE:
+            row = update_row(op, j, Y, X, cfg)
+            if (row is None or np.abs(np.delete(op.matrix, j, axis=0) @ row).max()
+                    > DUPLICATE_ROW_COSINE):
                 row = _random_unit_row(reinit_rng, m)
                 reinitialized += 1
             op.matrix[j] = row / np.linalg.norm(row)

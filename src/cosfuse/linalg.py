@@ -3,8 +3,8 @@
 Matrices and vectors are plain numpy float64 arrays (row-major). The few
 routines here are exactly what the coding and row-update stages need:
 soft thresholding, Gram products, a symmetric eigensolver (LAPACK ``eigh``
-behind an input check), a power-iteration estimate of the squared spectral
-norm, and the matrix text format.
+behind an input check), the squared spectral norm, and the matrix text
+format.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ def soft_threshold(v, tau):
 
     Computed as ``v - clip(v, -tau, tau)``, which gives the same values bit
     for bit except for the sign of a zero result. Accepts arrays of any
-    shape; ``tau`` must be a nonnegative scalar.
+    shape; ``tau`` must be a nonnegative scalar (NaN is rejected too).
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     v = np.asarray(v, dtype=np.float64)
     return v - np.clip(v, -tau, tau)
@@ -90,37 +90,8 @@ def sym_eig_smallest(S):
 
 
 def spectral_norm_sq(M):
-    """Largest eigenvalue of M.T @ M (the squared spectral norm of M).
-
-    Power iteration on the smaller Gram matrix with a residual-based stop;
-    the Bauer-Fike bound for symmetric matrices makes the residual a direct
-    error bound on the returned eigenvalue (well inside 1e-6 relative).
-    """
-    M = _as_matrix(M)
-    S = gram(M) if M.shape[0] <= M.shape[1] else gram(M.T)
-    n = S.shape[0]
-    scale = np.abs(S).max()
-    if scale == 0.0:
-        return 0.0
-    v = np.full(n, 1.0 / np.sqrt(n))
-    rng = np.random.default_rng(0)
-    for restart in range(4):
-        w = S @ v
-        lam = 0.0
-        for _ in range(20_000):
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                break
-            v = w / nw
-            w = S @ v
-            lam = float(v @ w)
-            if np.linalg.norm(w - lam * v) <= 1e-8 * max(lam, 1e-300 * scale):
-                return lam
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-    # Pathological spectra only; fall back to the dense eigensolver.
-    w_all, _ = sym_eig(S)
-    return float(w_all[-1])
+    """Largest eigenvalue of M.T @ M (the squared spectral norm of M)."""
+    return float(np.linalg.norm(_as_matrix(M), 2) ** 2)
 
 
 def matrix_text(M, comments=()):
@@ -135,22 +106,15 @@ def matrix_text(M, comments=()):
 
 
 def load_matrix_text(path):
-    """Read a matrix in the :func:`matrix_text` format.
-
-    Returns (matrix, comment lines without the leading '#')."""
+    """Read a matrix in the :func:`matrix_text` format; comment lines are
+    skipped."""
     with open(path, "r", encoding="ascii") as fh:
         raw = fh.read().splitlines()
-    comments = []
     body = []
     for line in raw:
         stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            if not body:
-                comments.append(stripped[1:].strip())
-            continue
-        body.append(stripped)
+        if stripped and not stripped.startswith("#"):
+            body.append(stripped)
     if not body:
         raise MatrixFormatError(f"{path}: no dimension line found")
     dims = body[0].split()
@@ -175,4 +139,4 @@ def load_matrix_text(path):
         raise MatrixFormatError(f"{path}: non-numeric matrix entry") from exc
     if not np.all(np.isfinite(M)):
         raise MatrixFormatError(f"{path}: non-finite matrix entry")
-    return M, comments
+    return M

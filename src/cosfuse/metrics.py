@@ -109,9 +109,6 @@ def q_mi(A, B, F):
     return mi_af / (h_a + h_f) + mi_bf / (h_b + h_f)
 
 
-_SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
-_SOBEL_Y = np.array([[-1.0, -2.0, -1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 1.0]])
-
 # Xydeas-Petrovic sigmoid constants (Electronics Letters 2000): gain, slope
 # and midpoint of the strength (G) and orientation (A) preservation curves,
 # and the exponent of the edge-strength weights.
@@ -120,23 +117,22 @@ _GAMMA_A, _KAPPA_A, _SIGMA_A = 0.9879, -22.0, 0.8
 _WEIGHT_EXPONENT = 1.0
 
 
-def _conv3x3(image, kernel):
-    padded = np.pad(image, 1, mode="symmetric")
-    H, W = image.shape
-    out = np.zeros_like(image)
-    for di in range(3):
-        for dj in range(3):
-            out += kernel[di, dj] * padded[di:di + H, dj:dj + W]
-    return out
-
-
 def edge_map(A):
     """Sobel edge strength and line orientation of an image."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or min(A.shape) < 3:
         raise ValueError("edge maps need a 2-d image of at least 3x3 pixels")
-    gx = _conv3x3(A, _SOBEL_X)
-    gy = _conv3x3(A, _SOBEL_Y)
+    H, W = A.shape
+    padded = np.pad(A, 1, mode="symmetric")
+
+    def tap(i, j):
+        return padded[i:i + H, j:j + W]
+
+    # The non-zero taps of the Sobel tables, added in row-major order.
+    gx = (-tap(0, 0) + tap(0, 2) - 2.0 * tap(1, 0) + 2.0 * tap(1, 2)
+          - tap(2, 0) + tap(2, 2))
+    gy = (-tap(0, 0) - 2.0 * tap(0, 1) - tap(0, 2) + tap(2, 0) + 2.0 * tap(2, 1)
+          + tap(2, 2))
     strength = np.hypot(gx, gy)
     orientation = np.arctan2(gy, gx)
     # Fold to line orientation in (-pi/2, pi/2].

@@ -57,9 +57,7 @@ def test_train_writes_operator_with_header(workdir, tmp_path):
     assert text[1] == "64 49"
     op = AnalysisOperator.load(workdir["op"])
     assert (op.h, op.m) == (64, 49)
-    resaved = tmp_path / "resaved.txt"
-    op.save(resaved)
-    assert workdir["op"].read_bytes() == resaved.read_bytes()
+    assert workdir["op"].read_text() == op.to_text()
 
 
 def test_train_deterministic_output(workdir, tmp_path):

@@ -79,8 +79,8 @@ def test_activity_rejects_wrong_length(random_operator):
 
 def test_local_fuse_identity_on_identical_clean_inputs(trained_operator, texture_128):
     cfg = FusionConfig(lambda_local=0.0, lambda_global=0.0)
-    estimate, result = local_fuse(trained_operator, [texture_128, texture_128], cfg)
-    assert np.abs(estimate - texture_128).max() < 1e-8
+    result = local_fuse(trained_operator, [texture_128, texture_128], cfg)
+    assert np.abs(result.fused - texture_128).max() < 1e-8
     assert result.winner_map.shape == (22, 22)
     # Every cell is a tie, and ties go to the smallest source index.
     assert np.all(result.winner_map == 0)
@@ -90,8 +90,8 @@ def test_select_patch_tie_breaks_to_smallest_index(random_operator):
     # Patch selection lives in local_fuse: three identical textured sources
     # give equal, nonzero activities in every cell, and source 0 wins each.
     image = np.random.default_rng(3).uniform(0, 255, (25, 25))
-    _, result = local_fuse(random_operator, [image.copy() for _ in range(3)],
-                           FusionConfig())
+    result = local_fuse(random_operator, [image.copy() for _ in range(3)],
+                        FusionConfig())
     acts = result.activity
     assert acts.shape == (4, 4, 3)
     assert np.all(acts[..., 0] > 0.0)
@@ -103,7 +103,7 @@ def test_select_patch_tie_breaks_to_smallest_index(random_operator):
 def test_local_fuse_winner_map_matches_activity_oracle(trained_operator, texture_128):
     a, b = imageio.synth_multifocus(texture_128, 2.0, split=64)
     cfg = FusionConfig()
-    _, result = local_fuse(trained_operator, [a, b], cfg)
+    result = local_fuse(trained_operator, [a, b], cfg)
     grid = build_grid(128, 128, 7, 1)
     # independent per-cell activity comparison
     pa = extract_matrix(a / 255.0, grid)
@@ -122,7 +122,7 @@ def test_local_fuse_denoises_identical_noisy_inputs(trained_operator, cartoon_12
     # piecewise-smooth content is where the cosparse prior pays off
     noisy = imageio.add_gaussian_noise(cartoon_128, 15.0, seed=21)
     cfg = FusionConfig()  # default local sparsity weight
-    estimate, _ = local_fuse(trained_operator, [noisy, noisy], cfg)
+    estimate = local_fuse(trained_operator, [noisy, noisy], cfg).fused
     assert (metrics.psnr(np.clip(estimate, 0, 255), cartoon_128)
             > metrics.psnr(noisy, cartoon_128))
 

@@ -58,7 +58,7 @@ def test_init_operator_rejects_h_below_m():
 def test_operator_save_load_round_trip(tmp_path):
     op = learn.init_operator(12, 9, seed=4)
     path = tmp_path / "op.txt"
-    op.save(path)
+    path.write_text(op.to_text())
     loaded = learn.AnalysisOperator.load(path)
     np.testing.assert_array_equal(loaded.matrix, op.matrix)
     header = path.read_text().splitlines()[0]
@@ -267,12 +267,11 @@ def test_update_row_improves_on_previous_row():
     assert _row_objective(row, Y[:, J]) <= _row_objective(op.matrix[j], Y[:, J]) + 1e-12
 
 
-def test_update_row_empty_set_reinitializes():
+def test_update_row_empty_set_returns_none():
     op = learn.init_operator(6, 4, seed=25)
     Y = np.ones((4, 8))
     X = np.ones((4, 8)) * 100  # no scores near zero
-    row = learn.update_row(op, 2, Y, X, learn.TrainConfig(cosupport_tol=1e-12))
-    assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-12)
+    assert learn.update_row(op, 2, Y, X, learn.TrainConfig(cosupport_tol=1e-12)) is None
 
 
 def test_update_row_eigensolves_converge_on_training_grams(texture_128, cartoon_128):
@@ -334,6 +333,17 @@ def test_train_single_sweep_control_flow():
     assert len(report.objective_per_sweep) == 1
     with pytest.raises(ValueError):
         learn.TrainConfig(sweeps=0)
+
+
+def test_train_counts_empty_set_reinitialisations():
+    # No coded column is within 1e-300 of any row's hyperplane, so every
+    # row's orthogonal set is empty and train re-initialises all 33.
+    Y = _small_planted_problem()
+    cfg = learn.TrainConfig(lam=0.05, sweeps=1, max_admm_iters=100, seed=41,
+                            cosupport_tol=1e-300)
+    op, report = learn.train(Y, cfg, h=33)
+    assert report.rows_reinitialized_per_sweep == [33]
+    np.testing.assert_allclose(np.linalg.norm(op.matrix, axis=1), 1.0, atol=1e-12)
 
 
 def test_train_reports_nonconverged_columns():

@@ -228,6 +228,35 @@ def _q_abf_oracle(A, B, F):
     return 1.0 if den == 0 else num / den
 
 
+def _sobel_nine_taps(image, kernel):
+    """Correlation with a 3x3 table over a symmetric pad, all nine taps
+    added in row-major order."""
+    padded = np.pad(image, 1, mode="symmetric")
+    H, W = image.shape
+    out = np.zeros_like(image)
+    for di in range(3):
+        for dj in range(3):
+            out += kernel[di, dj] * padded[di:di + H, dj:dj + W]
+    return out
+
+
+def test_edge_map_matches_nine_tap_sobel_bit_for_bit():
+    # np.array_equal, since a zero gradient may come out with either sign.
+    rng = np.random.default_rng(27)
+    images = [_rand_img((6, 6), 27), _rand_img((64, 64), 28),
+              rng.integers(0, 256, (16, 23)).astype(float),
+              np.where(np.arange(9) >= 4, 200.0, 30.0) * np.ones((5, 1))]
+    for img in images:
+        gx, gy = _sobel_nine_taps(img, _KX), _sobel_nine_taps(img, _KY)
+        orientation = np.arctan2(gy, gx)
+        orientation = np.where(orientation > np.pi / 2, orientation - np.pi, orientation)
+        orientation = np.where(orientation <= -np.pi / 2, orientation + np.pi,
+                               orientation)
+        e = metrics.edge_map(img)
+        assert np.array_equal(e.strength, np.hypot(gx, gy))
+        assert np.array_equal(e.orientation, orientation)
+
+
 def test_q_abf_perfect_fusion_is_one():
     A = _rand_img((10, 10), 20)
     assert metrics.q_abf(A, A, A) == pytest.approx(1.0, abs=1e-9)
