@@ -43,7 +43,8 @@ def main():
         "--seed", str(args.seed),
     ])
     if rc == 0:
-        print(open(args.out).read())
+        with open(args.out) as fh:
+            print(fh.read())
     return rc
 
 

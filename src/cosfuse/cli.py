@@ -11,10 +11,12 @@ by ``--config`` ('#' starts a comment); precedence is defaults, then config
 file, then command-line flags. Unknown config keys are rejected before any
 computation starts.
 
-Exit codes: 0 success, 1 internal error, 2 bad input, 3 numerical failure
-(a diverged solver, or LAPACK not converging).
-Output files are written to a temporary file and renamed into place, so a
-failing command never leaves partial outputs behind.
+Exit codes, set by ``main`` alone: 0 success; 3 numerical failure
+(``NumericalFailure`` from a diverged solver, or LAPACK's ``LinAlgError``);
+2 bad input (any other ``ValueError``, or an ``OSError`` such as a missing
+file or output directory); 1 internal error (any other exception).
+A command renames its outputs into place only once all of them are written
+to temporary files, so a failing command never leaves partial outputs behind.
 
 The ``--threads`` flag is accepted for compatibility with data-parallel
 patch processing; computation is batched single-threaded either way, so
@@ -24,7 +26,6 @@ results are independent of the requested thread count.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import math
 import os
@@ -48,39 +49,33 @@ SWEEP_PATCH_SIZES = (5, 6, 7, 8, 9)
 SWEEP_NOISE_LEVELS = (0, 5, 10, 15, 20)
 
 
-class InputError(Exception):
-    """User-correctable problem with arguments or input files."""
-
-
-@contextlib.contextmanager
-def _bad_input():
-    """Report a ValueError raised on user input as an InputError. A LAPACK
-    ``LinAlgError`` is a ValueError too, but stays a numerical failure."""
+def _atomic_write(*outputs):
+    """Write each ``(path, data)`` output, data bytes or text, all or none:
+    every output goes to a temp file beside its path, and the temp files are
+    renamed into place only once all of them are written."""
+    tmps = []
     try:
-        yield
-    except np.linalg.LinAlgError:
-        raise
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _atomic_write(path, data):
-    """Write bytes (or text) to ``path`` via a temp file and rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cosfuse-tmp-")
-    try:
-        with os.fdopen(fd, mode) as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for path, data in outputs:
+            try:
+                fd, tmp = tempfile.mkstemp(
+                    dir=os.path.dirname(os.path.abspath(path)),
+                    prefix=".cosfuse-tmp-")
+            except OSError as exc:
+                exc.filename = path  # name the output, not the temp file
+                raise
+            tmps.append(tmp)
+            with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+                fh.write(data)
+        for tmp, (path, _) in zip(tmps, outputs):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
 def _load_config_file(path):
-    _require_file(path, "config file")
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -88,7 +83,7 @@ def _load_config_file(path):
             if not line:
                 continue
             if "=" not in line:
-                raise InputError(
+                raise ValueError(
                     f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}"
                 )
             key, value = line.split("=", 1)
@@ -113,8 +108,7 @@ def _options(cls, **renames):
 
 def _make_config(cls, cfgv, **renames):
     """Build ``cls`` from merged option values keyed as ``_options`` keys them."""
-    with _bad_input():
-        return cls(**{f.name: cfgv[key] for f, key in _option_fields(cls, renames)})
+    return cls(**{f.name: cfgv[key] for f, key in _option_fields(cls, renames)})
 
 
 def _merge_config(defaults, ns):
@@ -124,11 +118,11 @@ def _merge_config(defaults, ns):
     if getattr(ns, "config", None):
         for key, raw in _load_config_file(ns.config).items():
             if key not in defaults:
-                raise InputError(f"unknown config key {key!r} in {ns.config}")
+                raise ValueError(f"unknown config key {key!r} in {ns.config}")
             try:
                 merged[key] = type(defaults[key])(raw)
             except ValueError:
-                raise InputError(
+                raise ValueError(
                     f"bad value for config key {key!r}: {raw!r}"
                 ) from None
     for key in defaults:
@@ -138,31 +132,25 @@ def _merge_config(defaults, ns):
     return merged
 
 
-def _require_file(path, what):
-    if not os.path.isfile(path):
-        raise InputError(f"{what} not found: {path}")
-    return path
-
-
 def _load_image(path):
-    _require_file(path, "image")
     try:
         return imageio.load_pgm(path)
     except imageio.PgmFormatError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_operator(path):
-    _require_file(path, "operator file")
     try:
         return AnalysisOperator.load(path)
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        if str(exc).startswith(f"{path}: "):  # a format error names it already
+            raise
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _validate_threads(threads):
     if threads < 1:
-        raise InputError(f"--threads must be at least 1, got {threads}")
+        raise ValueError(f"--threads must be at least 1, got {threads}")
 
 
 # ---------------------------------------------------------------------------
@@ -181,25 +169,22 @@ def cmd_train(ns):
     _validate_threads(cfgv["threads"])
     m = cfgv["m"]
     if m < 1:
-        raise InputError(f"m must be at least 1, got {m}")
+        raise ValueError(f"m must be at least 1, got {m}")
     n = math.isqrt(m)
     if n * n != m:
-        raise InputError(f"m must be a perfect square (n*n), got {m}")
-    if not os.path.isdir(ns.images):
-        raise InputError(f"training image directory not found: {ns.images}")
+        raise ValueError(f"m must be a perfect square (n*n), got {m}")
     paths = sorted(
         os.path.join(ns.images, f) for f in os.listdir(ns.images)
         if f.lower().endswith(".pgm")
     )
     if not paths:
-        raise InputError(f"no .pgm images in {ns.images}")
+        raise ValueError(f"no .pgm images in {ns.images}")
     images = [_load_image(p) for p in paths]
     cfg = _make_config(TrainConfig, cfgv)
-    with _bad_input():
-        Y = sample_training_patches(images, n, cfgv["patches"], cfgv["seed"])
-        operator, report = train(Y, cfg, cfgv["h"])
+    Y = sample_training_patches(images, n, cfgv["patches"], cfgv["seed"])
+    operator, report = train(Y, cfg, cfgv["h"])
 
-    _atomic_write(ns.out, operator.to_text())
+    _atomic_write((ns.out, operator.to_text()))
 
     print(f"operator={ns.out}")
     print(f"h={operator.h}")
@@ -234,12 +219,11 @@ def _derived_path(out, suffix):
 def cmd_fuse(ns):
     cfgv = _merge_config(_FUSE_OPTIONS, ns)
     _validate_threads(cfgv["threads"])
-    with _bad_input():
-        _check_setting("sigma", cfgv["sigma"])
+    _check_setting("sigma", cfgv["sigma"])
     images = [_load_image(p) for p in ns.inputs]
     shapes = {img.shape for img in images}
     if len(shapes) != 1:
-        raise InputError(
+        raise ValueError(
             "input images disagree on size: "
             + ", ".join(f"{p}={img.shape[1]}x{img.shape[0]}"
                         for p, img in zip(ns.inputs, images))
@@ -251,17 +235,16 @@ def cmd_fuse(ns):
             for k, img in enumerate(images)
         ]
     cfg = _make_config(FusionConfig, cfgv, **_FUSE_RENAMES)
-    with _bad_input():
-        result = fuse_images(images, operator, cfg)
+    result = fuse_images(images, operator, cfg)
 
     winner_path = ns.winner_map or _derived_path(ns.out, "_winners.txt")
     activity_path = ns.activity or _derived_path(ns.out, "_activity.txt")
     diag_path = ns.diagnostics or _derived_path(ns.out, "_diag.txt")
 
-    _atomic_write(ns.out, imageio.write_pgm(result.fused))
-    _atomic_write(winner_path, winner_map_text(result))
-    _atomic_write(activity_path, activity_text(result))
-    _atomic_write(diag_path, diagnostics_text(result))
+    _atomic_write((ns.out, imageio.write_pgm(result.fused)),
+                  (winner_path, winner_map_text(result)),
+                  (activity_path, activity_text(result)),
+                  (diag_path, diagnostics_text(result)))
 
     print(f"fused={ns.out}")
     print(f"winner_map={winner_path}")
@@ -280,18 +263,17 @@ _PAIR_OPTIONS = {"sigma_b": 2.0, "split": 0}
 def _multifocus_pair(truth, cfgv):
     """The synth_multifocus pair of ``truth``; split 0 is the middle column."""
     split = cfgv["split"] or truth.shape[1] // 2
-    with _bad_input():
-        _check_setting("sigma-b", cfgv["sigma_b"])
-        return imageio.synth_multifocus(truth, cfgv["sigma_b"], split)
+    _check_setting("sigma-b", cfgv["sigma_b"])
+    return imageio.synth_multifocus(truth, cfgv["sigma_b"], split)
 
 
 def cmd_synth(ns):
     cfgv = _merge_config(_PAIR_OPTIONS, ns)
     truth = _load_image(ns.truth)
     left, right = _multifocus_pair(truth, cfgv)
-    _atomic_write(ns.out_truth, imageio.write_pgm(truth))
-    _atomic_write(ns.out_a, imageio.write_pgm(left))
-    _atomic_write(ns.out_b, imageio.write_pgm(right))
+    _atomic_write((ns.out_truth, imageio.write_pgm(truth)),
+                  (ns.out_a, imageio.write_pgm(left)),
+                  (ns.out_b, imageio.write_pgm(right)))
     print(f"truth={ns.out_truth}")
     print(f"a={ns.out_a}")
     print(f"b={ns.out_b}")
@@ -305,14 +287,10 @@ def cmd_eval(ns):
     a = _load_image(ns.a)
     b = _load_image(ns.b)
     fused = _load_image(ns.fused)
-    if a.shape != fused.shape or b.shape != fused.shape:
-        raise InputError("eval images disagree on size")
     values = {"q_mi": metrics.q_mi(a, b, fused),
               "q_abf": metrics.q_abf(a, b, fused)}
     if ns.truth:
         truth = _load_image(ns.truth)
-        if truth.shape != fused.shape:
-            raise InputError("truth image size does not match fused image")
         values["psnr_db"] = metrics.psnr(fused, truth)
         values["mse"] = metrics.mse(fused, truth)
     for line in metrics.metric_report_lines(values):
@@ -345,14 +323,11 @@ def cmd_sweep(ns):
     left, right = _multifocus_pair(truth, cfgv)
     rows = []
     for n in SWEEP_PATCH_SIZES:
-        if min(truth.shape) < n:
-            raise InputError(f"truth image too small for patch size {n}")
         m = n * n
         h = int(round(m * OPERATOR_REDUNDANCY))
-        with _bad_input():
-            Y = sample_training_patches([truth], n, cfgv["train_patches"],
-                                        (cfgv["seed"], n))
-            operator, _ = train(Y, tcfg, h)
+        Y = sample_training_patches([truth], n, cfgv["train_patches"],
+                                    (cfgv["seed"], n))
+        operator, _ = train(Y, tcfg, h)
         for sigma in SWEEP_NOISE_LEVELS:
             a = imageio.add_gaussian_noise(left, sigma, (cfgv["seed"], n, sigma, 0))
             b = imageio.add_gaussian_noise(right, sigma, (cfgv["seed"], n, sigma, 1))
@@ -375,7 +350,7 @@ def cmd_sweep(ns):
     csv_lines = ["n,sigma,q_mi,q_abf,psnr"]
     for n, sigma, qmi, qabf, p in rows:
         csv_lines.append(f"{n},{sigma},{qmi:.6f},{qabf:.6f},{p:.3f}")
-    _atomic_write(ns.out, "\n".join(csv_lines) + "\n")
+    _atomic_write((ns.out, "\n".join(csv_lines) + "\n"))
     print(f"sweep={ns.out}")
     print(f"rows={len(rows)}")
     return EXIT_OK
@@ -452,14 +427,16 @@ def main(argv=None):
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    # The one exception-to-exit-code rule. LinAlgError subclasses ValueError,
+    # so the numerical clause must come first.
     try:
         return ns.func(ns)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (NumericalFailure, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def _fuse_args(workdir, out, extra=()):
 # train
 
 def test_train_writes_operator_with_header(workdir, tmp_path):
-    text = open(workdir["op"]).read().splitlines()
+    text = workdir["op"].read_text().splitlines()
     assert text[0] == "# analysis-operator h=64 m=49"
     assert text[1] == "64 49"
     op = AnalysisOperator.load(workdir["op"])
@@ -137,6 +138,9 @@ def test_train_rejects_non_square_m(workdir, tmp_path):
     ["fuse", "--sigma", "inf"],
     ["sweep", "--lambda-global", "nan"],
     ["sweep", "--sigma-b", "inf"],
+    # Finite as given, but the sigma/15 scaling makes it infinite at sigma 20.
+    ["sweep", "--lambda-local", "1.5e308", "--train-patches", "50",
+     "--train-sweeps", "1", "--max-admm-iters", "30", "--global-rounds", "1"],
 ], ids=" ".join)
 def test_bad_option_values_exit_2_without_output(workdir, tmp_path, argv):
     cmd, *options = argv
@@ -146,6 +150,25 @@ def test_bad_option_values_exit_2_without_output(workdir, tmp_path, argv):
               "sweep": ["--truth", str(workdir["truth"])]}[cmd]
     rc = main([cmd, *source, "--out", str(tmp_path / "out.txt"), *options])
     assert rc == EXIT_INPUT
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cmd", ["train", "fuse", "synth"])
+def test_output_in_missing_directory_exits_2_without_output(
+        workdir, tmp_path, capsys, cmd):
+    missing = str(tmp_path / "nodir" / "x.txt")
+    out = [str(tmp_path / f"out{k}.txt") for k in range(3)]
+    argv = {
+        "train": ["train", "--images", str(workdir["imgdir"]), "--out", missing,
+                  "--h", "16", "--m", "9", "--patches", "50", "--sweeps", "1"],
+        "fuse": _fuse_args(workdir, out[0], extra=[
+            "--max-admm-iters", "30", "--global-rounds", "1",
+            "--diagnostics", missing]),
+        "synth": ["synth", "--truth", str(workdir["truth"]),
+                  "--out-truth", out[1], "--out-a", out[2], "--out-b", missing],
+    }[cmd]
+    assert main(argv) == EXIT_INPUT
+    assert missing in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -161,7 +184,7 @@ def test_synth_split_zero_is_the_default_middle_split(workdir, tmp_path):
                    "--out-truth", paths[0], "--out-a", paths[1],
                    "--out-b", paths[2]])
         assert rc == EXIT_OK
-        outputs[name] = [open(p, "rb").read() for p in paths]
+        outputs[name] = [pathlib.Path(p).read_bytes() for p in paths]
     assert outputs["unset"] == outputs["zero"] == outputs["middle"]
 
 
@@ -263,6 +286,24 @@ def test_eval_missing_file_exits_2(workdir, capsys):
                "--fused", str(workdir["truth"])])
     assert rc == EXIT_INPUT
     assert "missing.pgm" in capsys.readouterr().err
+
+
+def test_eval_image_too_small_for_edges_exits_2(tmp_path):
+    tiny = tmp_path / "tiny.pgm"
+    imageio.save_pgm(tiny, np.array([[0.0, 255.0], [255.0, 0.0]]))
+    t = str(tiny)
+    assert main(["eval", "--a", t, "--b", t, "--fused", t]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("text", ["2 x\n", "2 2\n1 0\n0 2\n"],
+                         ids=["bad-dimension-line", "non-unit-row"])
+def test_operator_error_names_the_file_once(workdir, tmp_path, capsys, text):
+    op = tmp_path / "op.txt"
+    op.write_text(text)
+    argv = _fuse_args(workdir, tmp_path / "fused.pgm")
+    argv[argv.index("--op") + 1] = str(op)
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err.count(str(op)) == 1
 
 
 # ---------------------------------------------------------------------------
