@@ -52,7 +52,11 @@ SWEEP_NOISE_LEVELS = (0, 5, 10, 15, 20)
 def _atomic_write(*outputs):
     """Write each ``(path, data)`` output, data bytes or text, all or none:
     every output goes to a temp file beside its path, and the temp files are
-    renamed into place only once all of them are written."""
+    renamed into place only once all of them are written. Each output gets
+    the mode ``open`` would give a new file (0o666 less the umask), not the
+    temp file's 0o600."""
+    umask = os.umask(0)
+    os.umask(umask)
     tmps = []
     try:
         for path, data in outputs:
@@ -65,6 +69,7 @@ def _atomic_write(*outputs):
                 raise
             tmps.append(tmp)
             with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
                 fh.write(data)
         for tmp, (path, _) in zip(tmps, outputs):
             os.replace(tmp, path)

@@ -16,6 +16,9 @@ before any operator is applied, matching the training preprocessing):
    of the current estimate, overlap-adds, and blends the result with the
    initial estimate; a round is only accepted if it does not increase the
    objective, so the final estimate never scores worse than the initial one.
+   The first round's ADMM starts cold; each later round starts from the
+   (V, D) the previous round returned, since the grid is the same and the
+   estimate moves little between rounds.
 
 Output pixels are clamped to [0, 255] at the very end only.
 """
@@ -166,12 +169,14 @@ def local_fuse(op, images, cfg):
 
 def _merge_admm_counters(into, counters):
     """Fold one coding call's ``_admm_counters`` into a running total."""
+    into["admm_iters_total"] += counters["admm_iters_total"]
     into["admm_iters_max"] = max(into["admm_iters_max"], counters["admm_iters_max"])
     into["admm_nonconverged"] += counters["admm_nonconverged"]
 
 
 def _global_impl(op, initial, cfg):
-    counters = {"admm_iters_max": 0.0, "admm_nonconverged": 0.0}
+    counters = {"admm_iters_total": 0.0, "admm_iters_max": 0.0,
+                "admm_nonconverged": 0.0}
     if cfg.lambda_global == 0 or cfg.global_rounds == 0:
         return initial.copy(), {
             "global_rounds_run": 0.0,
@@ -200,8 +205,11 @@ def _global_impl(op, initial, cfg):
     best_obj, P, means = objective(I0)
     initial_obj = best_obj
     rounds_run = 0
+    start = None
     for _ in range(cfg.global_rounds):
-        X, _, _, residual, iterations = cosparse_code_many(op, P, coding_cfg)
+        X, V, D, residual, iterations = cosparse_code_many(op, P, coding_cfg,
+                                                           start=start)
+        start = (V, D)
         _merge_admm_counters(counters, _admm_counters(residual, iterations, cfg))
         smoothed = overlap_add_matrix(X + means, grid)
         candidate = blend * I0 + (1.0 - blend) * smoothed

@@ -218,7 +218,7 @@ def sample_training_patches(images, n, count, seed):
     return Y
 
 
-def cosparse_code_many(op, Y, cfg):
+def cosparse_code_many(op, Y, cfg, start=None):
     """ADMM cosparse coding of every column of Y against the operator W.
 
     Returns (X, V, D, primal residuals, iterations used). The loop iterates
@@ -232,8 +232,13 @@ def cosparse_code_many(op, Y, cfg):
     residual ||W x - v|| drops to ``cfg.admm_tol``, or at
     ``cfg.max_admm_iters``. The unconverged columns live in contiguous
     working arrays and a retired column is dropped from them, so each column
-    behaves as if it were solved on its own. At lam = 0 the first iteration
-    has z - u = 0, so x = y exactly.
+    behaves as if it were solved on its own.
+
+    The iteration starts cold, from V = W Y and D = 0, unless ``start`` gives
+    an initial (V, D): two finite h-by-N arrays, such as the V and D a
+    previous call returned for nearby signals. The call may take ownership
+    of them and update D in place. From a cold start at lam = 0 the first
+    iteration has z - u = 0, so x = y exactly.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
@@ -264,8 +269,15 @@ def cosparse_code_many(op, Y, cfg):
     # Working set: original column index and the state of each live column.
     idx = np.arange(n_cols)
     Za = W @ Y
-    Va = Za
-    Da = np.zeros((h, n_cols))
+    if start is None:
+        Va, Da = Za, np.zeros((h, n_cols))
+    else:
+        Va, Da = (np.asarray(a, dtype=np.float64) for a in start)
+        if Va.shape != (h, n_cols) or Da.shape != (h, n_cols):
+            raise ValueError(f"start must be two {h}x{n_cols} arrays, got "
+                             f"{Va.shape} and {Da.shape}")
+        if not (np.all(np.isfinite(Va)) and np.all(np.isfinite(Da))):
+            raise ValueError("start contains non-finite entries")
     for t in range(1, max_admm_iters + 1):
         T = Za - Va
         T -= Da  # z - u
@@ -301,10 +313,11 @@ def cosparse_code_many(op, Y, cfg):
 
 
 def _admm_counters(residual, iterations, cfg):
-    """Largest ADMM iteration count of a coding call, and the columns whose
-    last residual is not within ``admm_tol``: those that stopped at
-    ``max_admm_iters``, and those retired by a NaN residual."""
+    """Total and largest ADMM iteration counts of a coding call, and the
+    columns whose last residual is not within ``admm_tol``: those that
+    stopped at ``max_admm_iters``, and those retired by a NaN residual."""
     return {
+        "admm_iters_total": float(iterations.sum()),
         "admm_iters_max": float(iterations.max(initial=0)),
         "admm_nonconverged": float(np.count_nonzero(~(residual <= cfg.admm_tol))),
     }

@@ -172,6 +172,27 @@ def test_output_in_missing_directory_exits_2_without_output(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_outputs_take_the_umask_mode(workdir, tmp_path, umask, mode):
+    """Outputs get 0o666 less the umask, as a file made by ``open`` does,
+    not the 0o600 of the temp file they are written to."""
+    outputs = [tmp_path / name for name in ("op.txt", "f.pgm", "w.txt", "d.txt")]
+    old = os.umask(umask)
+    try:
+        assert main(["train", "--images", str(workdir["imgdir"]),
+                     "--out", str(outputs[0]), "--h", "16", "--m", "9",
+                     "--patches", "50", "--sweeps", "1"]) == EXIT_OK
+        assert main(_fuse_args(workdir, outputs[1], extra=[
+            "--max-admm-iters", "30", "--global-rounds", "1",
+            "--winner-map", str(outputs[2]),
+            "--diagnostics", str(outputs[3])])) == EXIT_OK
+    finally:
+        os.umask(old)
+    for path in outputs:
+        assert path.stat().st_mode & 0o777 == mode, path.name
+
+
 # ---------------------------------------------------------------------------
 # synth / fuse
 

@@ -210,7 +210,8 @@ def test_fuse_output_range_and_diagnostics(trained_operator, texture_128):
     assert result.fused.min() >= 0.0 and result.fused.max() <= 255.0
     assert result.activity.shape == (22, 22, 2)
     assert np.all((result.winner_map >= 0) & (result.winner_map < 2))
-    for key in ("local_l1_mean", "local_l1_max", "admm_iters_max", "admm_nonconverged"):
+    for key in ("local_l1_mean", "local_l1_max", "admm_iters_total",
+                "admm_iters_max", "admm_nonconverged"):
         assert key in result.diagnostics
     assert 1 <= result.diagnostics["admm_iters_max"] <= FusionConfig().max_admm_iters
     assert result.diagnostics["admm_nonconverged"] == 0
@@ -269,6 +270,24 @@ def test_fuse_extracts_each_image_once(trained_operator, texture_128, monkeypatc
     rounds_coded = calls["code"] - 1
     assert rounds_coded >= result.diagnostics["global_rounds_run"] >= 1
     assert calls["extract"] == 2 + 1 + rounds_coded
+
+
+def test_global_rounds_warm_start_saves_admm_iterations(trained_operator,
+                                                      texture_128, monkeypatch):
+    """Each global round after the first starts from the previous round's
+    (V, D): dropping that start costs more ADMM iterations in total."""
+    a, b = imageio.synth_multifocus(texture_128[:48, :48], 2.0, split=24)
+    a = imageio.add_gaussian_noise(a, 15.0, seed=1)
+    b = imageio.add_gaussian_noise(b, 15.0, seed=2)
+    cfg = FusionConfig(overlap=4)
+    warm = fuse([a, b], trained_operator, cfg).diagnostics
+    code = fuse_module.cosparse_code_many
+    monkeypatch.setattr(fuse_module, "cosparse_code_many",
+                        lambda op, Y, cfg, start=None: code(op, Y, cfg))
+    cold = fuse([a, b], trained_operator, cfg).diagnostics
+    assert warm["global_rounds_run"] == cold["global_rounds_run"] >= 2
+    assert warm["admm_iters_total"] < cold["admm_iters_total"]
+    assert warm["admm_nonconverged"] == cold["admm_nonconverged"] == 0
 
 
 def test_fuse_paper_protocol_runs_to_completion(trained_operator):

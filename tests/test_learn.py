@@ -187,6 +187,41 @@ def test_batch_iteration_counts_match_single_column_solves():
         np.testing.assert_allclose(X[:, i], state.x, atol=1e-10)
 
 
+def test_warm_start_from_converged_state_retires_at_once():
+    """Coding again from a converged call's own (V, D) retires every column
+    within 2 iterations, at the cold result's objective."""
+    rng = np.random.default_rng(24)
+    op = learn.init_operator(20, 16, seed=13)
+    cfg = learn.TrainConfig(lam=0.1)
+    # At this scale no column stops on its first iterations. A column whose
+    # every |W y| exceeds lam/mu can, with a zero primal residual but off
+    # the optimum, and a warm restart then lowers its objective.
+    Y = 0.5 * rng.standard_normal((16, 12))
+    X, V, D, resid, iters = learn.cosparse_code_many(op, Y, cfg)
+    assert iters.min() > 2
+    Xw, _, _, resid_w, iters_w = learn.cosparse_code_many(op, Y, cfg,
+                                                          start=(V, D))
+    assert iters_w.max() <= 2
+    assert np.all(resid_w <= cfg.admm_tol)
+    for i in range(Y.shape[1]):
+        cold = _objective(op.matrix, X[:, i], Y[:, i], cfg.lam)
+        warm = _objective(op.matrix, Xw[:, i], Y[:, i], cfg.lam)
+        assert warm == pytest.approx(cold, rel=1e-5)
+
+
+@pytest.mark.parametrize("bad", ["shape", "nan", "inf"])
+def test_warm_start_rejects_bad_start(bad):
+    op = learn.init_operator(20, 16, seed=13)
+    Y = np.random.default_rng(25).standard_normal((16, 4))
+    V, D = np.zeros((20, 4)), np.zeros((20, 4))
+    if bad == "shape":
+        D = np.zeros((20, 3))
+    else:
+        V[3, 1] = np.nan if bad == "nan" else np.inf
+    with pytest.raises(ValueError, match="start"):
+        learn.cosparse_code_many(op, Y, learn.TrainConfig(), start=(V, D))
+
+
 def test_batch_nan_residual_retires_column(monkeypatch):
     """A NaN residual retires its column, as a residual within tolerance
     does; the other columns are coded as without it."""
