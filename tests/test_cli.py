@@ -121,9 +121,11 @@ def test_train_rejects_non_square_m(workdir, tmp_path):
     ["sweep", "--mu", "0"],
     ["sweep", "--lam", "-1"],
     ["sweep", "--train-patches", "10"],
+    ["sweep", "--train-patches", "-1"],
     ["train", "--h", "4", "--m", "9", "--patches", "50"],
     ["train", "--h", "16", "--m", "9", "--patches", "10"],
     ["train", "--m", "-4"],
+    ["train", "--patches", "-5"],
     # NaN fails every comparison, so it must not slip past a range check.
     ["train", "--lam", "nan"],
     ["train", "--mu", "nan"],

@@ -1,9 +1,13 @@
 """Tests for cosparse coding and operator learning."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_planted_clusters
+from conftest import make_cartoon, make_planted_clusters, make_texture
 from cosfuse import imageio, learn
 from cosfuse.linalg import gram, soft_threshold, sym_eig_smallest
 
@@ -333,6 +337,110 @@ def test_update_row_rejects_bad_index():
     with pytest.raises(ValueError):
         learn.update_row(op, 6, np.zeros((4, 8)), np.zeros((4, 8)),
                          learn.TrainConfig())
+
+
+# ---------------------------------------------------------------------------
+# sample_training_patches
+
+def _reference_sample(images, n, count, seed):
+    """The one-attempt-at-a-time sampler that the batched draw reproduces."""
+    rng = np.random.default_rng(seed)
+    m = n * n
+    Y = np.empty((m, count))
+    usable = [img for img in images if min(img.shape) >= n]
+    if not usable:
+        raise ValueError(f"no training image is at least {n}x{n} pixels")
+    i = 0
+    attempts = 0
+    while i < count:
+        attempts += 1
+        if attempts > 50 * count:
+            raise ValueError("training images are flat; cannot sample patches")
+        img = usable[int(rng.integers(len(usable)))]
+        top = int(rng.integers(img.shape[0] - n + 1))
+        left = int(rng.integers(img.shape[1] - n + 1))
+        block = img[top:top + n, left:left + n].reshape(m) / learn.PIXEL_SCALE
+        block = block - block.mean()
+        norm = np.linalg.norm(block)
+        if norm < 1e-8:
+            continue
+        Y[:, i] = block / norm
+        i += 1
+    return Y
+
+
+def _assert_same_sample(images, n, count, seed):
+    expected = _reference_sample(images, n, count, seed)
+    got = learn.sample_training_patches(images, n, count, seed)
+    assert got.shape == expected.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == expected.tobytes()
+
+
+def _pgm_round_trip(img):
+    return imageio.read_pgm(imageio.write_pgm(img))
+
+
+@pytest.mark.parametrize("case", ["train-workload", "trained-operator-fixture",
+                                  "mixed-sizes", "count-0"])
+def test_sample_matches_reference_byte_for_byte(case, texture_128):
+    rng = np.random.default_rng(40)
+    if case == "train-workload":
+        # The benchmark's `train` inputs: cartoon.pgm and texture.pgm, sorted.
+        images = [_pgm_round_trip(make_cartoon(128, 128)),
+                  _pgm_round_trip(make_texture(128, 128, seed=0))]
+        _assert_same_sample(images, 5, 600, 0)
+    elif case == "trained-operator-fixture":
+        _assert_same_sample([texture_128], 7, 800, 1)
+    elif case == "mixed-sizes":
+        # A 7x7 image has one corner, and integers(1) draws nothing from
+        # the stream, so the image indices cannot be read off a draw that
+        # assumed another image's corner ranges.
+        images = [rng.uniform(0, 255, shape).round()
+                  for shape in [(40, 100), (7, 7), (100, 33), (6, 50), (9, 8)]]
+        images[2][:, :20] = 80.0
+        _assert_same_sample(images, 7, 2000, 4)
+    else:
+        _assert_same_sample([texture_128], 7, 0, 3)
+
+
+@st.composite
+def _sampling_inputs(draw):
+    n = draw(st.integers(2, 7))
+    pixels = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    images = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows, cols = draw(st.integers(n - 2, n + 11)), draw(st.integers(n - 2, n + 11))
+        img = pixels.uniform(0, 255, (rows, cols)).round()
+        if draw(st.booleans()):
+            img[:, :cols // 2] = 100.0
+        images.append(img)
+    return images, n, draw(st.integers(0, 300)), draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sampling_inputs())
+def test_sample_matches_reference_on_random_inputs(inputs):
+    try:
+        _reference_sample(*inputs)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            learn.sample_training_patches(*inputs)
+    else:
+        _assert_same_sample(*inputs)
+
+
+def test_sample_flat_images_raise_like_reference():
+    images = [np.full((20, 30), 128.0), np.full((12, 12), 3.0)]
+    with pytest.raises(ValueError) as expected:
+        _reference_sample(images, 5, 40, 7)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        learn.sample_training_patches(images, 5, 40, 7)
+
+
+def test_sample_rejects_negative_count():
+    with pytest.raises(ValueError, match="count must be nonnegative, got -5"):
+        learn.sample_training_patches([np.zeros((9, 9))], 3, -5, 0)
 
 
 # ---------------------------------------------------------------------------
