@@ -13,11 +13,14 @@ columns):
   W x = W y - W M (W y - v - d) alone, one h-by-h product per column, and
   x is formed only when its column retires. That is cheaper than iterating
   on x while h < (1 + sqrt 3) m, which holds for every operator this
-  package builds. The v-subproblem is soft thresholding at lam/mu. The
-  unconverged columns are kept in contiguous working arrays: a column is
-  written to the result once, when its primal residual reaches the
-  tolerance or the iteration cap, and then dropped from the working set, so
-  each iteration touches only live columns.
+  package builds. The v-step (soft thresholding at lam/mu) and the d-step
+  reduce to one projection: the new -d is W x - d clipped to the box
+  [-lam/mu, lam/mu], v is what the clip cut off, and the primal residual
+  W x - v is the change in -d. So the loop carries only W y - v - d and the
+  clipped dual, and forms v and d when a column retires: as soon as its
+  primal residual reaches the tolerance, or at the iteration cap. Retired
+  columns ride along in the working arrays until fewer than half of them
+  are live, and are then dropped in one compaction.
 * row update: for each operator row w, collect the coded columns nearly
   orthogonal to it and replace w with the unit vector minimizing the summed
   squared inner products against the corresponding training columns, i.e.
@@ -38,10 +41,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    clip_box,
     gram,
     load_matrix_text,
     matrix_text,
-    soft_threshold,
     spectral_norm_sq,  # unused; bench/tracing.py wraps this attribute
     sym_eig_smallest,
 )
@@ -288,21 +291,36 @@ def cosparse_code_many(op, Y, cfg, start=None):
     Returns (X, V, D, primal residuals, iterations used). The loop iterates
     on s = W x rather than on x. With u = v + d, the exact x-step
     x = A^-1 (y + mu W^T u), A = I + mu W^T W, is the correction
-    x = y - M (z - u) with z = W y and M = mu A^-1 W^T, so
-    W x = z - K (z - u) with K = W M. A, M, K and Z = W Y are formed once per
-    call; an iteration then costs one h-by-h product per column, against
-    2hm + 2m^2 for iterating on x, which is less whenever h < (1 + sqrt 3) m.
-    A column's x is formed only when it retires: as soon as its primal
-    residual ||W x - v|| drops to ``cfg.admm_tol``, or at
-    ``cfg.max_admm_iters``. The unconverged columns live in contiguous
-    working arrays and a retired column is dropped from them, so each column
-    behaves as if it were solved on its own.
+    x = y - M T with T = z - u, z = W y and M = mu A^-1 W^T, so
+    W x = z - K T with K = W M. A, M, K and Z = W Y are formed once per call.
 
-    The iteration starts cold, from V = W Y and D = 0, unless ``start`` gives
-    an initial (V, D): two finite h-by-N arrays, such as the V and D a
-    previous call returned for nearby signals. The call may take ownership
-    of them and update D in place. From a cold start at lam = 0 the first
-    iteration has z - u = 0, so x = y exactly.
+    The v- and d-steps (Boyd et al., *Distributed Optimization via ADMM*,
+    2011, section 6.4) are one projection onto the box [-tau, tau],
+    tau = lam / mu. With C = -d and P = W x + C, the new C is clip(P), the
+    new v is P - C and the primal residual W x - v is C - C_prev. The loop
+    therefore carries (T, C) alone, and the next T is
+    K T + C + (C - C_prev). A trip costs one h-by-h product per working
+    column, against 2hm + 2m^2 for iterating on x (less whenever
+    h < (1 + sqrt 3) m), and seven elementwise passes over the h-wide
+    working arrays: P twice, the clip, the residual, its column norms, and
+    T twice.
+
+    A column retires as soon as its primal residual ||W x - v|| drops to
+    ``cfg.admm_tol``, or at ``cfg.max_admm_iters``. Its x = y - M T, v and
+    d = -C are written then, from that trip's state. A retired column rides
+    along in the working arrays, its further trips unread, until fewer than
+    half of the working columns are live; then the live ones are compacted
+    in one gather. So each column behaves as if it were solved on its own,
+    and the gathers happen a few times per call, not at every retirement.
+    A column whose state turns non-finite keeps a non-finite T (K has a
+    positive diagonal), so its x at retirement is non-finite and raises
+    ``NumericalFailure``.
+
+    The iteration starts cold, from V = W Y and D = 0 (T = 0, C = 0),
+    unless ``start`` gives an initial (V, D): two finite h-by-N arrays, such
+    as the V and D a previous call returned for nearby signals; then
+    T = Z - V - D and C = -D. From a cold start at lam = 0 the first trip has
+    T = 0, so x = y exactly. An empty Y returns empty results at once.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
@@ -315,6 +333,20 @@ def cosparse_code_many(op, Y, cfg, start=None):
     if Y.shape[0] != m:
         raise ValueError(f"signals have dimension {Y.shape[0]}, operator expects {m}")
     n_cols = Y.shape[1]
+    if start is not None:
+        Vs, Ds = (np.asarray(a, dtype=np.float64) for a in start)
+        if Vs.shape != (h, n_cols) or Ds.shape != (h, n_cols):
+            raise ValueError(f"start must be two {h}x{n_cols} arrays, got "
+                             f"{Vs.shape} and {Ds.shape}")
+        if not (np.all(np.isfinite(Vs)) and np.all(np.isfinite(Ds))):
+            raise ValueError("start contains non-finite entries")
+    X = np.empty((m, n_cols))
+    V = np.empty((h, n_cols))
+    D = np.empty((h, n_cols))
+    residual = np.empty(n_cols)
+    iterations = np.empty(n_cols, dtype=np.int64)
+    if n_cols == 0:
+        return X, V, D, residual, iterations
     with np.errstate(over="ignore", invalid="ignore"):
         A = np.eye(m) + mu * (W.T @ W)
     # With an overflowing mu, A^-1, M and K would still come out finite
@@ -325,54 +357,53 @@ def cosparse_code_many(op, Y, cfg, start=None):
     K = W @ M
     tau = lam / mu
 
-    X = np.empty((m, n_cols))
-    V = np.empty((h, n_cols))
-    D = np.empty((h, n_cols))
-    residual = np.empty(n_cols)
-    iterations = np.empty(n_cols, dtype=np.int64)
-    # Working set: original column index and the state of each live column.
+    # Working set: original column index, liveness and the state of each
+    # column. T is z - u, the x-step's right-hand side; C is -d, the dual
+    # clipped to the box [-tau, tau].
     idx = np.arange(n_cols)
+    live = np.ones(n_cols, bool)
+    n_live = n_cols
     Za = W @ Y
     if start is None:
-        Va, Da = Za, np.zeros((h, n_cols))
+        T, C = np.zeros((h, n_cols)), np.zeros((h, n_cols))
     else:
-        Va, Da = (np.asarray(a, dtype=np.float64) for a in start)
-        if Va.shape != (h, n_cols) or Da.shape != (h, n_cols):
-            raise ValueError(f"start must be two {h}x{n_cols} arrays, got "
-                             f"{Va.shape} and {Da.shape}")
-        if not (np.all(np.isfinite(Va)) and np.all(np.isfinite(Da))):
-            raise ValueError("start contains non-finite entries")
-    for t in range(1, max_admm_iters + 1):
-        T = Za - Va
-        T -= Da  # z - u
-        with np.errstate(over="ignore", invalid="ignore"):
-            S = Za - K @ T  # W x
-        if not np.all(np.isfinite(S)):
-            raise NumericalFailure("cosparse coding diverged", t)
-        Va = soft_threshold(S - Da, tau)
-        S -= Va  # the primal residual W x - v
-        Da -= S
-        r = np.sqrt(np.sum(S * S, axis=0))
+        T = Za - Vs
+        T -= Ds
+        C = -Ds
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, max_admm_iters + 1):
+            KT = K @ T  # z - W x
+            P = Za - KT
+            P += C  # W x - d
+            Cn = clip_box(P, tau)
+            R = np.subtract(Cn, C, out=C)  # the primal residual W x - v
+            r = np.sqrt(np.einsum("ij,ij->j", R, R))
 
-        # Not ``r <= admm_tol``: a NaN residual retires its column too.
-        done = ~(r > admm_tol) if t < max_admm_iters else np.ones(idx.size, bool)
-        if not done.any():
-            continue
-        cols = idx[done]
-        with np.errstate(over="ignore", invalid="ignore"):
-            Xd = Y[:, cols] - M @ T[:, done]
-        if not np.all(np.isfinite(Xd)):
-            raise NumericalFailure("cosparse coding diverged", t)
-        X[:, cols] = Xd
-        V[:, cols] = Va[:, done]
-        D[:, cols] = Da[:, done]
-        residual[cols] = r[done]
-        iterations[cols] = t
-        keep = ~done
-        if not keep.any():
-            break
-        idx = idx[keep]
-        Za, Va, Da = Za[:, keep], Va[:, keep], Da[:, keep]
+            # Not ``r <= admm_tol``: a NaN residual retires its column too.
+            done = live & ~(r > admm_tol) if t < max_admm_iters else live
+            if done.any():
+                cols = idx[done]
+                # Where a column's state went non-finite, so did its T.
+                Xd = Y[:, cols] - M @ T[:, done]
+                if not np.all(np.isfinite(Xd)):
+                    raise NumericalFailure("cosparse coding diverged", t)
+                X[:, cols] = Xd
+                Cd = Cn[:, done]
+                V[:, cols] = P[:, done] - Cd
+                D[:, cols] = -Cd
+                residual[cols] = r[done]
+                iterations[cols] = t
+                live = live & ~done
+                n_live -= cols.size
+                if not n_live:
+                    break
+            KT += Cn
+            KT += R
+            T, C = KT, Cn
+            # Retired columns ride along until fewer than half are live.
+            if 2 * n_live < idx.size:
+                idx, Za, T, C = idx[live], Za[:, live], T[:, live], C[:, live]
+                live = np.ones(n_live, bool)
     return X, V, D, residual, iterations
 
 

@@ -2,9 +2,9 @@
 
 Matrices and vectors are plain numpy float64 arrays (row-major). The few
 routines here are exactly what the coding and row-update stages need:
-soft thresholding, Gram products, a symmetric eigensolver (LAPACK ``eigh``
-behind an input check), the squared spectral norm, and the matrix text
-format.
+the box clip and soft thresholding, Gram products, a symmetric eigensolver
+(LAPACK ``eigh`` behind an input check), the squared spectral norm, and the
+matrix text format.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "clip_box",
     "soft_threshold",
     "gram",
     "sym_eig",
@@ -35,17 +36,23 @@ def _as_matrix(M, name="matrix"):
     return M
 
 
+def clip_box(v, tau):
+    """Componentwise projection onto the box [-tau, tau]. Accepts arrays of
+    any shape; ``tau`` must be a nonnegative scalar (NaN is rejected too)."""
+    if not tau >= 0:
+        raise ValueError(f"threshold must be nonnegative, got {tau}")
+    return np.clip(v, -tau, tau)
+
+
 def soft_threshold(v, tau):
     """Componentwise shrinkage: sign(v) * max(|v| - tau, 0).
 
-    Computed as ``v - clip(v, -tau, tau)``, which gives the same values bit
+    Computed as ``v - clip_box(v, tau)``, which gives the same values bit
     for bit except for the sign of a zero result. Accepts arrays of any
     shape; ``tau`` must be a nonnegative scalar (NaN is rejected too).
     """
-    if not tau >= 0:
-        raise ValueError(f"threshold must be nonnegative, got {tau}")
     v = np.asarray(v, dtype=np.float64)
-    return v - np.clip(v, -tau, tau)
+    return v - clip_box(v, tau)
 
 
 def gram(M):

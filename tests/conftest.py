@@ -70,6 +70,21 @@ def make_cartoon(width, height):
     return np.clip(imageio.gaussian_blur(img, 0.6), 0.0, 255.0)
 
 
+def inf_in_first_column_on_third_call(clip_box):
+    """A stand-in for ``learn.clip_box`` whose third call returns +inf in
+    column 0: a column that diverges in the middle of a coding solve."""
+    calls = []
+
+    def wrapped(v, tau):
+        out = clip_box(v, tau)
+        calls.append(1)
+        if len(calls) == 3:
+            out[:, 0] = np.inf
+        return out
+
+    return wrapped
+
+
 @pytest.fixture(scope="session")
 def texture_128():
     return make_texture(128, 128, seed=0)

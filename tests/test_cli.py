@@ -7,8 +7,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from conftest import make_texture
-from cosfuse import cli, imageio
+from conftest import inf_in_first_column_on_third_call, make_texture
+from cosfuse import cli, imageio, learn
 from cosfuse.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from cosfuse.fuse import FusionConfig
 from cosfuse.learn import AnalysisOperator, TrainConfig, init_operator
@@ -277,6 +277,14 @@ def test_fuse_lapack_failure_exits_3(workdir, tmp_path, monkeypatch):
     assert main(_fuse_args(workdir, out)) == EXIT_NUMERIC
     assert not out.exists()
     assert not (tmp_path / "fused_diag.txt").exists()
+
+
+def test_fuse_coding_divergence_exits_3(workdir, tmp_path, monkeypatch):
+    monkeypatch.setattr(learn, "clip_box",
+                        inf_in_first_column_on_third_call(learn.clip_box))
+    out = tmp_path / "fused.pgm"
+    assert main(_fuse_args(workdir, out)) == EXIT_NUMERIC
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fuse_single_input_passthrough(workdir, tmp_path):

@@ -232,17 +232,17 @@ def test_fuse_counts_nan_residual_as_nonconverged(trained_operator, texture_128,
                                                   monkeypatch):
     """A column retired by a NaN residual is reported, not taken as converged."""
     a, b = imageio.synth_multifocus(texture_128[:48, :48], 2.0, split=24)
-    soft_threshold = learn.soft_threshold
+    clip_box = learn.clip_box
     calls = []
 
     def nan_in_first_column_once(v, tau):
-        out = soft_threshold(v, tau)
+        out = clip_box(v, tau)
         if not calls:
             out[:, 0] = np.nan
         calls.append(1)
         return out
 
-    monkeypatch.setattr(learn, "soft_threshold", nan_in_first_column_once)
+    monkeypatch.setattr(learn, "clip_box", nan_in_first_column_once)
     result = fuse([a, b], trained_operator, FusionConfig())
     assert result.diagnostics["admm_nonconverged"] == 1
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cartoon, make_planted_clusters, make_texture
+from conftest import (inf_in_first_column_on_third_call, make_cartoon,
+                      make_planted_clusters, make_texture)
 from cosfuse import imageio, learn
 from cosfuse.linalg import gram, soft_threshold, sym_eig_smallest
 
@@ -235,21 +236,86 @@ def test_batch_nan_residual_retires_column(monkeypatch):
     Y = rng.standard_normal((16, 5))
     _, _, _, ref_resid, ref_iters = learn.cosparse_code_many(op, Y, cfg)
 
-    soft_threshold = learn.soft_threshold
+    clip_box = learn.clip_box
     calls = []
 
     def nan_in_first_column_once(v, tau):
-        out = soft_threshold(v, tau)
+        out = clip_box(v, tau)
         if not calls:
             out[:, 0] = np.nan
         calls.append(1)
         return out
 
-    monkeypatch.setattr(learn, "soft_threshold", nan_in_first_column_once)
+    monkeypatch.setattr(learn, "clip_box", nan_in_first_column_once)
     _, _, _, resid, iters = learn.cosparse_code_many(op, Y, cfg)
     assert iters[0] == 1 and np.isnan(resid[0])
     np.testing.assert_array_equal(iters[1:], ref_iters[1:])
     np.testing.assert_allclose(resid[1:], ref_resid[1:], rtol=1e-9)
+
+
+def test_batch_empty_returns_at_once(monkeypatch):
+    """An empty batch runs no iteration and returns empty results."""
+    op = learn.init_operator(20, 16, seed=13)
+    clip_box = learn.clip_box
+    calls = []
+
+    def counted(v, tau):
+        calls.append(1)
+        return clip_box(v, tau)
+
+    monkeypatch.setattr(learn, "clip_box", counted)
+    X, V, D, resid, iters = learn.cosparse_code_many(op, np.zeros((16, 0)),
+                                                     learn.TrainConfig())
+    assert not calls
+    assert [a.shape for a in (X, V, D, resid, iters)] == [
+        (16, 0), (20, 0), (20, 0), (0,), (0,)]
+
+
+@pytest.mark.parametrize("lam,mu,max_iters", [
+    (0.1, 1.0, 1000), (0.05, 2.0, 1000), (0.3, 0.5, 1000), (0.2, 1.0, 3)])
+def test_batch_dual_lies_in_its_box(lam, mu, max_iters):
+    """Every returned D lies in [-lam/mu, lam/mu], and wherever v is nonzero
+    D sits on the face opposite v's sign: the v-step's optimality condition,
+    exactly, for converged and capped columns alike."""
+    rng = np.random.default_rng(26)
+    op = learn.init_operator(20, 16, seed=13)
+    cfg = learn.TrainConfig(lam=lam, mu=mu, max_admm_iters=max_iters)
+    Y = rng.standard_normal((16, 30)) * np.geomspace(0.2, 5.0, 30)
+    _, V, D, _, _ = learn.cosparse_code_many(op, Y, cfg)
+    tau = lam / mu
+    assert np.all(np.abs(D) <= tau)
+    nonzero = V != 0
+    assert nonzero.any()
+    np.testing.assert_array_equal(D[nonzero], -np.sign(V[nonzero]) * tau)
+
+
+def test_batch_column_order_does_not_matter():
+    """Columns that retire at different iterations, coded in another order,
+    take the same iterations and reach the same x: retired columns that
+    ride along until compaction do not disturb the live ones."""
+    rng = np.random.default_rng(27)
+    op = learn.init_operator(20, 16, seed=13)
+    cfg = learn.TrainConfig(lam=0.1)
+    Y = rng.standard_normal((16, 40)) * np.geomspace(0.2, 5.0, 40)
+    X, _, _, _, iters = learn.cosparse_code_many(op, Y, cfg)
+    assert len(np.unique(iters)) >= 4
+    perm = rng.permutation(Y.shape[1])
+    Xp, _, _, _, iters_p = learn.cosparse_code_many(op, Y[:, perm], cfg)
+    np.testing.assert_array_equal(iters_p, iters[perm])
+    np.testing.assert_allclose(Xp, X[:, perm], rtol=0, atol=1e-12)
+
+
+def test_batch_divergence_mid_solve_raises(monkeypatch):
+    rng = np.random.default_rng(28)
+    op = learn.init_operator(20, 16, seed=13)
+    cfg = learn.TrainConfig(lam=0.1)
+    Y = rng.standard_normal((16, 5))
+    _, _, _, _, iters = learn.cosparse_code_many(op, Y, cfg)
+    assert iters.min() > 3
+    monkeypatch.setattr(learn, "clip_box",
+                        inf_in_first_column_on_third_call(learn.clip_box))
+    with pytest.raises(learn.NumericalFailure):
+        learn.cosparse_code_many(op, Y, cfg)
 
 
 # ---------------------------------------------------------------------------
