@@ -16,7 +16,8 @@ Exit codes, set by ``main`` alone: 0 success; 3 numerical failure
 2 bad input (any other ``ValueError``, or an ``OSError`` such as a missing
 file or output directory); 1 internal error (any other exception).
 A command renames its outputs into place only once all of them are written
-to temporary files, so a failing command never leaves partial outputs behind.
+to temporary files, so a failing command never leaves partial outputs behind;
+two outputs that name the same file are bad input, and nothing is written.
 
 The ``--threads`` flag is accepted for compatibility with data-parallel
 patch processing; computation is batched single-threaded either way, so
@@ -54,7 +55,14 @@ def _atomic_write(*outputs):
     every output goes to a temp file beside its path, and the temp files are
     renamed into place only once all of them are written. Each output gets
     the mode ``open`` would give a new file (0o666 less the umask), not the
-    temp file's 0o600."""
+    temp file's 0o600. Two outputs that name one file are a ValueError,
+    raised before anything is written."""
+    seen = set()
+    for path, _ in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"two outputs name the same file: {path}")
+        seen.add(real)
     umask = os.umask(0)
     os.umask(umask)
     tmps = []
@@ -144,15 +152,6 @@ def _load_image(path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _load_operator(path):
-    try:
-        return AnalysisOperator.load(path)
-    except ValueError as exc:
-        if str(exc).startswith(f"{path}: "):  # a format error names it already
-            raise
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def _validate_threads(threads):
     if threads < 1:
         raise ValueError(f"--threads must be at least 1, got {threads}")
@@ -233,7 +232,7 @@ def cmd_fuse(ns):
             + ", ".join(f"{p}={img.shape[1]}x{img.shape[0]}"
                         for p, img in zip(ns.inputs, images))
         )
-    operator = _load_operator(ns.op)
+    operator = AnalysisOperator.load(ns.op)
     if cfgv["sigma"] > 0:
         images = [
             imageio.add_gaussian_noise(img, cfgv["sigma"], (cfgv["seed"], k))

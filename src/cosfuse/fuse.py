@@ -32,7 +32,7 @@ import numpy as np
 from .learn import (PIXEL_SCALE, TrainConfig, _admm_counters, _check_setting,
                     cosparse_code_many)
 from .linalg import spectral_norm_sq  # unused; bench/tracing.py wraps this attribute
-from .patches import Patch, build_grid, extract_matrix, overlap_add_matrix
+from .patches import build_grid, extract_matrix, overlap_add_matrix
 
 __all__ = [
     "FusionConfig",
@@ -93,8 +93,7 @@ class FusionResult:
 
 def activity(op, patch):
     """l1 norm of the analyzed, mean-subtracted patch."""
-    data = np.asarray(patch.data if isinstance(patch, Patch) else patch,
-                      dtype=np.float64)
+    data = np.asarray(patch, dtype=np.float64)
     if data.ndim != 1 or data.size != op.m:
         raise ValueError(f"patch must have length {op.m}, got shape {data.shape}")
     return float(np.abs(op.matrix @ (data - data.mean())).sum())

@@ -130,7 +130,13 @@ class AnalysisOperator:
 
     @classmethod
     def load(cls, path):
-        return cls(load_matrix_text(path))
+        """Load an operator file. A malformed or invalid one raises a
+        ValueError whose message starts with the path."""
+        matrix = load_matrix_text(path)
+        try:
+            return cls(matrix)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass

@@ -2,12 +2,13 @@
 
 A grid describes where n-by-n windows sit on an image: windows step by
 ``n - overlap`` pixels and the final window on each axis is clamped to the
-image edge when the stride does not tile the dimension exactly. Overlap-add
-averages every patch contribution per pixel, so extract followed by
-overlap-add is the identity.
+image edge when the stride does not tile the dimension exactly.
 
-Images are 2-d float64 arrays indexed [row, col]; patch data is the window
-flattened row-major.
+Images are 2-d float64 arrays indexed [row, col]. The patches of an image
+are the columns of one (n*n, cells) matrix, cells in grid row-major order,
+each column the window flattened row-major. ``overlap_add_matrix`` averages
+every patch contribution per pixel, so ``extract_matrix`` followed by
+``overlap_add_matrix`` is the identity.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PatchGrid", "Patch", "build_grid", "extract", "overlap_add",
-           "extract_matrix", "overlap_add_matrix", "cover_counts"]
+__all__ = ["PatchGrid", "build_grid", "extract_matrix", "overlap_add_matrix"]
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,6 @@ class PatchGrid:
     @property
     def patch_dim(self):
         return self.patch_size * self.patch_size
-
-
-@dataclass(frozen=True)
-class Patch:
-    grid_row: int
-    grid_col: int
-    data: np.ndarray
 
 
 def _axis_offsets(dim, n, stride):
@@ -123,13 +116,6 @@ def _pixel_index(grid):
     return (corners[:, None] + window).ravel()
 
 
-def cover_counts(grid):
-    """Per-pixel patch cover counts implied by the grid geometry."""
-    counts = np.bincount(_pixel_index(grid),
-                         minlength=grid.image_height * grid.image_width)
-    return counts.reshape(grid.image_height, grid.image_width).astype(np.float64)
-
-
 def overlap_add_matrix(P, grid):
     """Reassemble an image from a (n*n, cells) patch matrix by averaging.
 
@@ -143,52 +129,8 @@ def overlap_add_matrix(P, grid):
             f"patch matrix shape {P.shape} does not match grid "
             f"({grid.patch_dim}, {grid.cell_count})"
         )
-    accum = np.bincount(_pixel_index(grid), weights=P.T.ravel(),
-                        minlength=grid.image_height * grid.image_width)
-    return accum.reshape(grid.image_height, grid.image_width) / cover_counts(grid)
-
-
-def extract(image, grid):
-    """Extract all patches as Patch objects in row-major grid order."""
-    P = extract_matrix(image, grid)
-    out = []
-    cell = 0
-    for i in range(grid.grid_rows):
-        for j in range(grid.grid_cols):
-            out.append(Patch(grid_row=i, grid_col=j, data=P[:, cell].copy()))
-            cell += 1
-    return out
-
-
-def overlap_add(patches, grid):
-    """Reassemble an image from a complete list of patches.
-
-    Every grid cell must appear exactly once; patch order does not matter.
-    """
-    P = np.zeros((grid.patch_dim, grid.cell_count))
-    seen = np.zeros(grid.cell_count, dtype=bool)
-    for patch in patches:
-        if not (0 <= patch.grid_row < grid.grid_rows
-                and 0 <= patch.grid_col < grid.grid_cols):
-            raise ValueError(
-                f"patch cell ({patch.grid_row}, {patch.grid_col}) outside grid"
-            )
-        cell = patch.grid_row * grid.grid_cols + patch.grid_col
-        if seen[cell]:
-            raise ValueError(
-                f"duplicate patch for cell ({patch.grid_row}, {patch.grid_col})"
-            )
-        data = np.asarray(patch.data, dtype=np.float64)
-        if data.shape != (grid.patch_dim,):
-            raise ValueError(
-                f"patch data length {data.size} != {grid.patch_dim}"
-            )
-        P[:, cell] = data
-        seen[cell] = True
-    if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
-        raise ValueError(
-            f"incomplete patch list: cell "
-            f"({missing // grid.grid_cols}, {missing % grid.grid_cols}) missing"
-        )
-    return overlap_add_matrix(P, grid)
+    index = _pixel_index(grid)
+    size = grid.image_height * grid.image_width
+    accum = np.bincount(index, weights=P.T.ravel(), minlength=size)
+    counts = np.bincount(index, minlength=size)
+    return (accum / counts).reshape(grid.image_height, grid.image_width)

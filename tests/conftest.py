@@ -8,6 +8,17 @@ from cosfuse import imageio
 from cosfuse.learn import (TrainConfig, init_operator, sample_training_patches,
                            train)
 
+# The [acceptance] lines of tests/test_acceptance.py, repeated in the
+# terminal summary so every run shows the criterion figures.
+ACCEPTANCE_LINES = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    if ACCEPTANCE_LINES:
+        terminalreporter.section("acceptance figures")
+        for line in ACCEPTANCE_LINES:
+            terminalreporter.write_line(line)
+
 
 def make_texture(width, height, seed=0):
     """Deterministic textured test image with strong edges at many scales."""

@@ -2,7 +2,8 @@
 
 Each test exercises one acceptance criterion end to end at its stated
 tolerance and prints a PASS/FAIL line (run with ``pytest -s`` to see them
-as they complete). The heavyweight fixtures (trained operator, sweep CSV)
+as they complete; the terminal summary repeats them under "acceptance
+figures"). The heavyweight fixtures (trained operator, sweep CSV)
 are shared across criteria via session/module scope.
 """
 
@@ -11,18 +12,21 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_planted_clusters, make_scene, make_texture
+from conftest import (ACCEPTANCE_LINES, make_planted_clusters, make_scene,
+                      make_texture)
 from cosfuse import imageio, metrics
 from cosfuse.cli import EXIT_OK, main
 from cosfuse.fuse import FusionConfig, fuse
 from cosfuse.learn import TrainConfig, cosparse_code, init_operator, train, update_row
 from cosfuse.linalg import soft_threshold
-from cosfuse.patches import build_grid, extract, overlap_add
+from cosfuse.patches import build_grid, extract_matrix, overlap_add_matrix
 
 
 def _report(label, ok, detail=""):
     status = "PASS" if ok else "FAIL"
-    print(f"[acceptance] {label}: {status}" + (f"  ({detail})" if detail else ""))
+    line = f"[acceptance] {label}: {status}" + (f"  ({detail})" if detail else "")
+    ACCEPTANCE_LINES.append(line)
+    print(line)
     assert ok, f"{label}: {detail}"
 
 
@@ -285,7 +289,7 @@ def test_criterion_10_round_trips():
         for p in (0, 1, 2):
             img = rng.uniform(0, 255, (29, 37))
             grid = build_grid(37, 29, n, p)
-            out = overlap_add(extract(img, grid), grid)
+            out = overlap_add_matrix(extract_matrix(img, grid), grid)
             worst = max(worst, float(np.abs(out - img).max()))
     patch_ok = worst <= 1e-12
     pgm_ok = True

@@ -174,6 +174,27 @@ def test_output_in_missing_directory_exits_2_without_output(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("cmd", ["fuse", "synth"])
+def test_outputs_naming_one_file_exit_2_without_output(
+        workdir, tmp_path, capsys, cmd):
+    """Two outputs that name one file would overwrite each other; the
+    command exits 2 before it writes anything."""
+    argv = {
+        "fuse": _fuse_args(workdir, tmp_path / "f.pgm", extra=[
+            "--max-admm-iters", "30", "--global-rounds", "1",
+            "--diagnostics", str(tmp_path / "f_winners.txt")]),
+        "synth": ["synth", "--truth", str(workdir["truth"]),
+                  "--out-truth", str(tmp_path / "x.pgm"),
+                  "--out-a", str(tmp_path / "x.pgm"),
+                  "--out-b", str(tmp_path / "b.pgm")],
+    }[cmd]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "same file" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                          ids=["umask022", "umask077"])
 def test_outputs_take_the_umask_mode(workdir, tmp_path, umask, mode):

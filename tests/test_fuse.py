@@ -15,7 +15,7 @@ from cosfuse.fuse import (
     global_reconstruct,
     local_fuse,
 )
-from cosfuse.patches import Patch, build_grid, extract_matrix
+from cosfuse.patches import build_grid, extract_matrix
 
 
 def _sharp_side_stats(winner_map, grid, split, patch_size):
@@ -37,8 +37,7 @@ def _sharp_side_stats(winner_map, grid, split, patch_size):
 # activity
 
 def test_activity_constant_patch_is_zero(random_operator):
-    patch = Patch(0, 0, np.full(49, 9.25))
-    assert activity(random_operator, patch) == 0.0
+    assert activity(random_operator, np.full(49, 9.25)) == 0.0
 
 
 def test_activity_matches_direct_loop(random_operator):

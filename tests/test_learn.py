@@ -70,6 +70,16 @@ def test_operator_save_load_round_trip(tmp_path):
     assert header == "# analysis-operator h=12 m=9"
 
 
+def test_operator_load_names_the_file_once(tmp_path):
+    path = tmp_path / "op.txt"
+    path.write_text("2 2\n1 0\n0 2\n")  # second row is not unit-norm
+    with pytest.raises(ValueError) as info:
+        learn.AnalysisOperator.load(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    assert message.count(str(path)) == 1
+
+
 # ---------------------------------------------------------------------------
 # cosparse_code
 

@@ -39,33 +39,32 @@ def test_build_grid_rejects_bad_overlap():
 
 def test_extract_constant_image():
     g = patches.build_grid(10, 8, n=3, p=1)
-    out = patches.extract(np.full((8, 10), 4.5), g)
-    assert len(out) == g.grid_rows * g.grid_cols
-    for p in out:
-        np.testing.assert_array_equal(p.data, np.full(9, 4.5))
+    P = patches.extract_matrix(np.full((8, 10), 4.5), g)
+    assert P.shape == (9, g.grid_rows * g.grid_cols)
+    np.testing.assert_array_equal(P, np.full(P.shape, 4.5))
 
 
 def test_extract_indexing_on_ramp():
     img = np.arange(13 * 13, dtype=float).reshape(13, 13)
     g = patches.build_grid(13, 13, n=7, p=1)
-    out = patches.extract(img, g)
-    by_cell = {(p.grid_row, p.grid_col): p for p in out}
-    assert by_cell[(0, 0)].data[0] == img[0, 0]
-    assert by_cell[(1, 1)].data[0] == img[6, 6]
+    P = patches.extract_matrix(img, g)
+    assert P[0, 0] == img[0, 0]
+    # cell (1, 1) is column grid_cols + 1 in row-major cell order
+    assert P[0, g.grid_cols + 1] == img[6, 6]
     # row-major vectorization inside the patch
-    np.testing.assert_array_equal(by_cell[(0, 0)].data[:7], img[0, :7])
+    np.testing.assert_array_equal(P[:7, 0], img[0, :7])
 
 
 def test_extract_rejects_mismatched_image():
     g = patches.build_grid(10, 10, n=3, p=0)
     with pytest.raises(ValueError):
-        patches.extract(np.zeros((9, 10)), g)
+        patches.extract_matrix(np.zeros((9, 10)), g)
 
 
 def test_overlap_add_single_patch_reshape():
     g = patches.build_grid(4, 4, n=4, p=1)
     data = np.arange(16, dtype=float)
-    out = patches.overlap_add([patches.Patch(0, 0, data)], g)
+    out = patches.overlap_add_matrix(data[:, None], g)
     np.testing.assert_array_equal(out, data.reshape(4, 4))
 
 
@@ -73,26 +72,18 @@ def test_overlap_add_two_cover_average():
     # width 3, n=2, p=1: two patches share the middle column.
     g = patches.build_grid(3, 2, n=2, p=1)
     assert (g.grid_rows, g.grid_cols) == (1, 2)
-    left = patches.Patch(0, 0, np.zeros(4))
-    right = patches.Patch(0, 1, np.full(4, 2.0))
-    out = patches.overlap_add([left, right], g)
+    P = np.column_stack([np.zeros(4), np.full(4, 2.0)])
+    out = patches.overlap_add_matrix(P, g)
     np.testing.assert_array_equal(out[:, 0], [0.0, 0.0])
     np.testing.assert_array_equal(out[:, 1], [1.0, 1.0])
     np.testing.assert_array_equal(out[:, 2], [2.0, 2.0])
 
 
-def test_overlap_add_rejects_incomplete_list():
+def test_overlap_add_rejects_missing_cell():
     g = patches.build_grid(6, 6, n=3, p=1)
-    plist = patches.extract(np.zeros((6, 6)), g)
-    with pytest.raises(ValueError):
-        patches.overlap_add(plist[:-1], g)
-
-
-def test_overlap_add_rejects_duplicates():
-    g = patches.build_grid(3, 3, n=3, p=0)
-    p = patches.Patch(0, 0, np.zeros(9))
-    with pytest.raises(ValueError):
-        patches.overlap_add([p, p], g)
+    P = patches.extract_matrix(np.zeros((6, 6)), g)
+    with pytest.raises(ValueError, match="does not match grid"):
+        patches.overlap_add_matrix(P[:, :-1], g)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
@@ -101,15 +92,16 @@ def test_round_trip_identity(n, p):
     rng = np.random.default_rng(n * 10 + p)
     img = rng.uniform(0, 255, size=(23, 31))
     g = patches.build_grid(31, 23, n=n, p=p)
-    out = patches.overlap_add(patches.extract(img, g), g)
+    out = patches.overlap_add_matrix(patches.extract_matrix(img, g), g)
     assert np.abs(out - img).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n,p", [(3, 0), (5, 2), (7, 1), (4, 3)])
 def test_coverage_at_least_one(n, p):
+    # Every pixel is covered: averaging all-ones patches gives exactly 1.
     g = patches.build_grid(17, 11, n=n, p=p)
-    counts = patches.cover_counts(g)
-    assert counts.min() >= 1
+    out = patches.overlap_add_matrix(np.ones((g.patch_dim, g.cell_count)), g)
+    assert np.all(out == 1.0)
 
 
 def test_extract_is_linear():
@@ -123,18 +115,6 @@ def test_extract_is_linear():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-def test_matrix_and_list_apis_agree():
-    rng = np.random.default_rng(15)
-    img = rng.uniform(0, 1, size=(9, 11))
-    g = patches.build_grid(11, 9, n=4, p=1)
-    P = patches.extract_matrix(img, g)
-    plist = patches.extract(img, g)
-    for idx, patch in enumerate(plist):
-        np.testing.assert_array_equal(patch.data, P[:, idx])
-    np.testing.assert_array_equal(
-        patches.overlap_add(plist, g), patches.overlap_add_matrix(P, g))
-
-
 def _loop_overlap_add(P, grid):
     """The cell-by-cell overlap-add that ``overlap_add_matrix`` replaced."""
     n = grid.patch_size
@@ -146,7 +126,7 @@ def _loop_overlap_add(P, grid):
             accum[r:r + n, c:c + n] += P[:, cell].reshape(n, n)
             counts[r:r + n, c:c + n] += 1.0
             cell += 1
-    return accum / counts, counts
+    return accum / counts
 
 
 @pytest.mark.parametrize("side,p", [(61, 3), (64, 4)])
@@ -157,6 +137,5 @@ def test_overlap_add_matrix_matches_loop_bit_for_bit(side, p):
     clamped = (side - 7) % g.stride != 0
     assert clamped == (side == 61)
     P = np.random.default_rng(side).standard_normal((g.patch_dim, g.cell_count))
-    expected, counts = _loop_overlap_add(P, g)
+    expected = _loop_overlap_add(P, g)
     assert patches.overlap_add_matrix(P, g).tobytes() == expected.tobytes()
-    assert patches.cover_counts(g).tobytes() == counts.tobytes()
