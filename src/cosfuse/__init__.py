@@ -2,12 +2,11 @@
 
 from .fuse import FusionConfig, FusionResult, global_reconstruct, local_fuse
 from .learn import (
-    AdmmState,
     AnalysisOperator,
     NumericalFailure,
     TrainConfig,
     TrainReport,
-    cosparse_code,
+    cosparse_code_many,
     init_operator,
     train,
 )
@@ -15,14 +14,13 @@ from .learn import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmmState",
     "AnalysisOperator",
     "FusionConfig",
     "FusionResult",
     "NumericalFailure",
     "TrainConfig",
     "TrainReport",
-    "cosparse_code",
+    "cosparse_code_many",
     "global_reconstruct",
     "init_operator",
     "local_fuse",

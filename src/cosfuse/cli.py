@@ -17,7 +17,9 @@ Exit codes, set by ``main`` alone: 0 success; 3 numerical failure
 file or output directory); 1 internal error (any other exception).
 A command renames its outputs into place only once all of them are written
 to temporary files, so a failing command never leaves partial outputs behind;
-two outputs that name the same file are bad input, and nothing is written.
+two outputs that name the same file, or an output that names a directory,
+are bad input, and nothing is written. An input image that is not a valid
+PGM is bad input too, reported with its path (``imageio.load_pgm``).
 
 The ``--threads`` flag is accepted for compatibility with data-parallel
 patch processing; computation is batched single-threaded either way, so
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -55,10 +58,13 @@ def _atomic_write(*outputs):
     every output goes to a temp file beside its path, and the temp files are
     renamed into place only once all of them are written. Each output gets
     the mode ``open`` would give a new file (0o666 less the umask), not the
-    temp file's 0o600. Two outputs that name one file are a ValueError,
-    raised before anything is written."""
+    temp file's 0o600. Two outputs that name one file, or an output that
+    names a directory (an existing one, or any path ending in a separator),
+    are a ValueError, raised before anything is written."""
     seen = set()
     for path, _ in outputs:
+        if os.path.isdir(path) or os.fspath(path).endswith(os.sep):
+            raise ValueError(f"output names a directory: {path}")
         real = os.path.realpath(path)
         if real in seen:
             raise ValueError(f"two outputs name the same file: {path}")
@@ -145,13 +151,6 @@ def _merge_config(defaults, ns):
     return merged
 
 
-def _load_image(path):
-    try:
-        return imageio.load_pgm(path)
-    except imageio.PgmFormatError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def _validate_threads(threads):
     if threads < 1:
         raise ValueError(f"--threads must be at least 1, got {threads}")
@@ -183,7 +182,7 @@ def cmd_train(ns):
     )
     if not paths:
         raise ValueError(f"no .pgm images in {ns.images}")
-    images = [_load_image(p) for p in paths]
+    images = [imageio.load_pgm(p) for p in paths]
     cfg = _make_config(TrainConfig, cfgv)
     Y = sample_training_patches(images, n, cfgv["patches"], cfgv["seed"])
     operator, report = train(Y, cfg, cfgv["h"])
@@ -224,7 +223,7 @@ def cmd_fuse(ns):
     cfgv = _merge_config(_FUSE_OPTIONS, ns)
     _validate_threads(cfgv["threads"])
     _check_setting("sigma", cfgv["sigma"])
-    images = [_load_image(p) for p in ns.inputs]
+    images = [imageio.load_pgm(p) for p in ns.inputs]
     shapes = {img.shape for img in images}
     if len(shapes) != 1:
         raise ValueError(
@@ -273,7 +272,7 @@ def _multifocus_pair(truth, cfgv):
 
 def cmd_synth(ns):
     cfgv = _merge_config(_PAIR_OPTIONS, ns)
-    truth = _load_image(ns.truth)
+    truth = imageio.load_pgm(ns.truth)
     left, right = _multifocus_pair(truth, cfgv)
     _atomic_write((ns.out_truth, imageio.write_pgm(truth)),
                   (ns.out_a, imageio.write_pgm(left)),
@@ -288,13 +287,13 @@ def cmd_synth(ns):
 # eval
 
 def cmd_eval(ns):
-    a = _load_image(ns.a)
-    b = _load_image(ns.b)
-    fused = _load_image(ns.fused)
+    a = imageio.load_pgm(ns.a)
+    b = imageio.load_pgm(ns.b)
+    fused = imageio.load_pgm(ns.fused)
     values = {"q_mi": metrics.q_mi(a, b, fused),
               "q_abf": metrics.q_abf(a, b, fused)}
     if ns.truth:
-        truth = _load_image(ns.truth)
+        truth = imageio.load_pgm(ns.truth)
         values["psnr_db"] = metrics.psnr(fused, truth)
         values["mse"] = metrics.mse(fused, truth)
     for line in metrics.metric_report_lines(values):
@@ -323,7 +322,7 @@ def cmd_sweep(ns):
     _validate_threads(cfgv["threads"])
     tcfg = _make_config(TrainConfig, cfgv, **_SWEEP_TRAIN)
     base = _make_config(FusionConfig, cfgv, **_SWEEP_FUSE)
-    truth = _load_image(ns.truth)
+    truth = imageio.load_pgm(ns.truth)
     left, right = _multifocus_pair(truth, cfgv)
     rows = []
     for n in SWEEP_PATCH_SIZES:
@@ -377,7 +376,9 @@ def _add_option_flags(p, options):
     p.add_argument("--config", help="config file of key = value lines")
 
 
+@functools.cache
 def build_parser():
+    """The ``cosfuse`` parser, built on the first call and shared after."""
     parser = argparse.ArgumentParser(
         prog="cosfuse",
         description="Learn cosparse analysis operators and fuse multi-focus images.",
@@ -426,9 +427,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     # The one exception-to-exit-code rule. LinAlgError subclasses ValueError,

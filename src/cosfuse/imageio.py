@@ -89,7 +89,7 @@ def read_pgm(data):
     width, height, maxval = fields
     if maxval != 255:
         raise PgmFormatError(f"unsupported maxval {maxval}, only 255 accepted",
-                             pos - len(str(maxval)))
+                             pos - len(token))
     if pos >= len(data) or data[pos:pos + 1] not in _WHITESPACE:
         raise PgmFormatError("missing whitespace before pixel payload", pos)
     pos += 1
@@ -114,8 +114,14 @@ def write_pgm(image):
 
 
 def load_pgm(path):
+    """Read a binary PGM file. Malformed data raises a ValueError whose
+    message starts with the path."""
     with open(path, "rb") as fh:
-        return read_pgm(fh.read())
+        data = fh.read()
+    try:
+        return read_pgm(data)
+    except PgmFormatError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_pgm(path, image):

@@ -3,7 +3,8 @@
 The learner alternates two stages over a training matrix Y (signals as
 columns):
 
-* cosparse coding: for each column y, minimize
+* cosparse coding (``cosparse_code_many``, the one coding entry point; a
+  single signal is a one-column Y): for each column y, minimize
   ``0.5 * ||x - y||^2 + lam * ||W x||_1`` over x, where W is the current
   operator. The l1 term is split off with an auxiliary variable v = W x and
   the problem is solved by ADMM with scaled multipliers d. The x-subproblem
@@ -24,10 +25,11 @@ columns):
 * row update: for each operator row w, collect the coded columns nearly
   orthogonal to it and replace w with the unit vector minimizing the summed
   squared inner products against the corresponding training columns, i.e.
-  the smallest eigenvector (LAPACK ``eigh``) of the Gram matrix of that
-  column subset. ``train`` re-initializes a row at random for either of two
-  reasons: its orthogonal set is empty, or its update lands on a near-copy
-  of another row (``DUPLICATE_ROW_COSINE``). Both are counted per sweep.
+  the smallest eigenvector of the Gram matrix of that column subset
+  (``linalg.sym_eig_smallest``, LAPACK ``eigh``). ``train`` re-initializes
+  a row at random for either of two reasons: its orthogonal set is empty,
+  or its update lands on a near-copy of another row
+  (``DUPLICATE_ROW_COSINE``). Both are counted per sweep.
 
 All randomness is derived from explicit seeds (numpy PCG64), so training is
 bit-reproducible.
@@ -52,12 +54,10 @@ from .linalg import (
 __all__ = [
     "AnalysisOperator",
     "TrainConfig",
-    "AdmmState",
     "TrainReport",
     "NumericalFailure",
     "init_operator",
     "sample_training_patches",
-    "cosparse_code",
     "cosparse_code_many",
     "update_row",
     "train",
@@ -162,17 +162,6 @@ class TrainConfig:
             raise ValueError(f"sweeps must be at least 1, got {self.sweeps}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-
-
-@dataclass
-class AdmmState:
-    """Result of one cosparse coding solve."""
-
-    x: np.ndarray
-    v: np.ndarray
-    d: np.ndarray
-    primal_residual: float
-    iterations_used: int
 
 
 @dataclass
@@ -422,21 +411,6 @@ def _admm_counters(residual, iterations, cfg):
         "admm_iters_max": float(iterations.max(initial=0)),
         "admm_nonconverged": float(np.count_nonzero(~(residual <= cfg.admm_tol))),
     }
-
-
-def cosparse_code(op, y, cfg):
-    """Code a single signal against the operator; returns an AdmmState."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.size != op.m:
-        raise ValueError(f"signal must have length {op.m}, got shape {y.shape}")
-    X, V, D, residual, iterations = cosparse_code_many(op, y[:, None], cfg)
-    return AdmmState(
-        x=X[:, 0],
-        v=V[:, 0],
-        d=D[:, 0],
-        primal_residual=float(residual[0]),
-        iterations_used=int(iterations[0]),
-    )
 
 
 def _random_unit_row(rng, m):

@@ -2,9 +2,9 @@
 
 Matrices and vectors are plain numpy float64 arrays (row-major). The few
 routines here are exactly what the coding and row-update stages need:
-the box clip and soft thresholding, Gram products, a symmetric eigensolver
-(LAPACK ``eigh`` behind an input check), the squared spectral norm, and the
-matrix text format.
+the box clip and soft thresholding, Gram products, the smallest eigenpair
+of a symmetric matrix (LAPACK ``eigh`` behind an input check), the squared
+spectral norm, and the matrix text format.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ __all__ = [
     "clip_box",
     "soft_threshold",
     "gram",
-    "sym_eig",
     "sym_eig_smallest",
     "spectral_norm_sq",
     "matrix_text",
@@ -76,23 +75,15 @@ def _check_symmetric(S):
     return S
 
 
-def sym_eig(S):
-    """Full eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
-
-    Returns (eigenvalues ascending, orthonormal eigenvectors as matching
-    columns). Raises ``numpy.linalg.LinAlgError`` if LAPACK does not
-    converge.
-    """
-    return np.linalg.eigh(_check_symmetric(S))
-
-
 def sym_eig_smallest(S):
-    """Smallest eigenpair of a symmetric matrix.
+    """Smallest eigenpair of a symmetric matrix (LAPACK ``eigh``).
 
     Returns (eigenvalue, unit eigenvector). For degenerate spectra any
-    minimizing eigenvector may be returned.
+    minimizing eigenvector may be returned. Raises ``ValueError`` for a
+    non-square, non-finite or asymmetric matrix, and
+    ``numpy.linalg.LinAlgError`` if LAPACK does not converge.
     """
-    w, V = sym_eig(S)
+    w, V = np.linalg.eigh(_check_symmetric(S))
     return float(w[0]), V[:, 0]
 
 

@@ -110,11 +110,10 @@ def q_mi(A, B, F):
 
 
 # Xydeas-Petrovic sigmoid constants (Electronics Letters 2000): gain, slope
-# and midpoint of the strength (G) and orientation (A) preservation curves,
-# and the exponent of the edge-strength weights.
+# and midpoint of the strength (G) and orientation (A) preservation curves.
+# The weights are the edge strengths: their exponent L is 1.
 _GAMMA_G, _KAPPA_G, _SIGMA_G = 0.9994, -15.0, 0.5
 _GAMMA_A, _KAPPA_A, _SIGMA_A = 0.9879, -22.0, 0.8
-_WEIGHT_EXPONENT = 1.0
 
 
 def edge_map(A):
@@ -170,8 +169,7 @@ def q_abf(A, B, F):
         agree = 1.0 - 2.0 * np.abs(e_x.orientation - e_f.orientation) / np.pi
         return sig_g(ratio) * sig_a(agree) / perfect
 
-    w_a = e_a.strength ** _WEIGHT_EXPONENT
-    w_b = e_b.strength ** _WEIGHT_EXPONENT
+    w_a, w_b = e_a.strength, e_b.strength
     denom = float((w_a + w_b).sum())
     if denom == 0.0:
         return 1.0  # no edges anywhere: transfer is vacuously perfect

@@ -17,7 +17,8 @@ from conftest import (ACCEPTANCE_LINES, make_planted_clusters, make_scene,
 from cosfuse import imageio, metrics
 from cosfuse.cli import EXIT_OK, main
 from cosfuse.fuse import FusionConfig, fuse
-from cosfuse.learn import TrainConfig, cosparse_code, init_operator, train, update_row
+from cosfuse.learn import (TrainConfig, cosparse_code_many, init_operator, train,
+                           update_row)
 from cosfuse.linalg import soft_threshold
 from cosfuse.patches import build_grid, extract_matrix, overlap_add_matrix
 
@@ -47,7 +48,7 @@ def test_criterion_1_solver_oracle_equivalence():
         y = rng.standard_normal(49)
         lam = lams[trial % 3]
         cfg = TrainConfig(lam=lam, admm_tol=1e-8, max_admm_iters=2000)
-        state = cosparse_code(op, y, cfg)
+        X, _, _, _, _ = cosparse_code_many(op, y[:, None], cfg)
         # oracle: ADMM with an exact x-update by direct elimination
         W = op.matrix
         A = np.eye(49) + cfg.mu * (W.T @ W)
@@ -63,7 +64,7 @@ def test_criterion_1_solver_oracle_equivalence():
             d = d - (Wx - v)
             if np.linalg.norm(Wx - v) <= 1e-8:
                 break
-        f_mine = _objective(W, state.x, y, lam)
+        f_mine = _objective(W, X[:, 0], y, lam)
         f_ref = _objective(W, x, y, lam)
         worst = max(worst, abs(f_mine - f_ref) / abs(f_ref))
     elapsed = time.perf_counter() - t_start
@@ -84,8 +85,8 @@ def test_criterion_2_prox_identity():
         y = rng.standard_normal(49) * 2.0
         lam = float(rng.uniform(0.05, 0.8))
         cfg = TrainConfig(lam=lam, admm_tol=1e-10, max_admm_iters=5000)
-        state = cosparse_code(op, y, cfg)
-        worst = max(worst, np.abs(state.x - soft_threshold(y, lam)).max())
+        X, _, _, _, _ = cosparse_code_many(op, y[:, None], cfg)
+        worst = max(worst, np.abs(X[:, 0] - soft_threshold(y, lam)).max())
     _report("criterion 2 (prox identity)", worst <= 1e-6,
             f"max linf err {worst:.2e}")
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line frontend."""
 
+import argparse
 import dataclasses
 import os
 import pathlib
@@ -195,6 +196,34 @@ def test_outputs_naming_one_file_exit_2_without_output(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("cmd", ["fuse", "synth", "synth-trailing-sep"])
+def test_output_naming_a_directory_exits_2_without_output(
+        workdir, tmp_path, capsys, cmd):
+    """An output path that is an existing directory, or that ends in a
+    separator, is rejected before the first temp file, so the outputs
+    listed before it are not written and the message names the output, not
+    a temp file."""
+    somedir = tmp_path / "somedir"
+    somedir.mkdir()
+    target = {"fuse": str(somedir), "synth": f"{somedir}{os.sep}",
+              "synth-trailing-sep": str(tmp_path / "nodir") + os.sep}[cmd]
+    if cmd == "fuse":
+        argv = _fuse_args(workdir, tmp_path / "f.pgm", extra=[
+            "--max-admm-iters", "30", "--global-rounds", "1",
+            "--diagnostics", target])
+    else:
+        argv = ["synth", "--truth", str(workdir["truth"]),
+                "--out-truth", str(tmp_path / "t.pgm"),
+                "--out-a", str(tmp_path / "a.pgm"), "--out-b", target]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert target in captured.err
+    assert ".cosfuse-tmp-" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [somedir]
+    assert list(somedir.iterdir()) == []
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                          ids=["umask022", "umask077"])
 def test_outputs_take_the_umask_mode(workdir, tmp_path, umask, mode):
@@ -340,6 +369,16 @@ def test_eval_missing_file_exits_2(workdir, capsys):
     assert "missing.pgm" in capsys.readouterr().err
 
 
+def test_eval_malformed_input_exits_2_naming_it(workdir, tmp_path, capsys):
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P5\n2 2\n0256\n" + bytes(4))
+    t = str(workdir["truth"])
+    assert main(["eval", "--a", str(bad), "--b", t, "--fused", t]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.count(str(bad)) == 1
+    assert captured.out == ""
+
+
 def test_eval_image_too_small_for_edges_exits_2(tmp_path):
     tiny = tmp_path / "tiny.pgm"
     imageio.save_pgm(tiny, np.array([[0.0, 255.0], [255.0, 0.0]]))
@@ -450,6 +489,35 @@ def test_config_option_reaches_its_field(workdir, tmp_path, monkeypatch,
     cfg_file.write_text(f"{key} = {value!r}\n")
     main(argv + ["--config", str(cfg_file)])
     assert seen[-1] == dataclasses.replace(baseline, **{field: value})
+    assert not out.exists()
+
+
+def test_second_main_call_builds_no_parser(workdir, tmp_path, monkeypatch):
+    """The parser is built once per process. A later call reuses it and
+    still dispatches through the module attributes that tests patch."""
+    t = str(workdir["truth"])
+    assert main(["eval", "--a", t, "--b", t, "--fused", t]) == EXIT_OK
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    seen = []
+
+    def fake_train(Y, cfg, h):
+        seen.append(cfg)
+        raise _Captured
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(cli, "train", fake_train)
+    out = tmp_path / "op.txt"
+    rc = main(["train", "--images", str(workdir["imgdir"]), "--out", str(out),
+               "--h", "16", "--m", "9", "--patches", "50"])
+    assert rc == cli.EXIT_INTERNAL
+    assert built == []
+    assert len(seen) == 1 and isinstance(seen[0], TrainConfig)
     assert not out.exists()
 
 

@@ -37,6 +37,13 @@ def test_pgm_truncated_payload_reports_offset():
     assert err.value.offset == len(good) - 3
 
 
+def test_pgm_bad_maxval_offset_is_the_token_start():
+    # The token "0256" is four bytes long, and str(256) three.
+    with pytest.raises(imageio.PgmFormatError) as err:
+        imageio.read_pgm(b"P5\n2 2\n0256\n" + bytes(4))
+    assert err.value.offset == 7
+
+
 def test_pgm_write_clamps_and_rounds():
     img = np.array([[-4.0, 920.0], [1.4, 1.5]])
     out = imageio.read_pgm(imageio.write_pgm(img))
@@ -57,6 +64,17 @@ def test_pgm_file_helpers(tmp_path):
     path = tmp_path / "img.pgm"
     imageio.save_pgm(path, img)
     np.testing.assert_array_equal(imageio.load_pgm(path), img)
+
+
+def test_load_pgm_names_the_file_once(tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n2 2\n0256\n" + bytes(4))
+    with pytest.raises(ValueError) as info:
+        imageio.load_pgm(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    assert message.count(str(path)) == 1
+    assert "byte offset 7" in message
 
 
 # ---------------------------------------------------------------------------

@@ -81,14 +81,15 @@ def test_operator_load_names_the_file_once(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# cosparse_code
+# cosparse_code_many on one signal (a one-column Y)
 
 def test_code_zero_lambda_returns_signal_exactly():
     op = learn.init_operator(20, 15, seed=2)
     y = np.random.default_rng(3).standard_normal(15)
-    state = learn.cosparse_code(op, y, learn.TrainConfig(lam=0.0))
-    np.testing.assert_array_equal(state.x, y)
-    assert state.primal_residual == 0.0
+    X, _, _, resid, _ = learn.cosparse_code_many(op, y[:, None],
+                                                 learn.TrainConfig(lam=0.0))
+    np.testing.assert_array_equal(X[:, 0], y)
+    assert resid[0] == 0.0
 
 
 def test_code_identity_operator_matches_prox():
@@ -97,8 +98,8 @@ def test_code_identity_operator_matches_prox():
     cfg = learn.TrainConfig(lam=0.3, admm_tol=1e-10, max_admm_iters=5000)
     for _ in range(5):
         y = rng.standard_normal(49)
-        state = learn.cosparse_code(op, y, cfg)
-        np.testing.assert_allclose(state.x, soft_threshold(y, 0.3), atol=1e-6)
+        X, _, _, _, _ = learn.cosparse_code_many(op, y[:, None], cfg)
+        np.testing.assert_allclose(X[:, 0], soft_threshold(y, 0.3), atol=1e-6)
 
 
 def test_code_matches_direct_solve_oracle():
@@ -107,9 +108,9 @@ def test_code_matches_direct_solve_oracle():
     for lam in (0.01, 0.1, 1.0):
         y = rng.standard_normal(49)
         cfg = learn.TrainConfig(lam=lam, admm_tol=1e-8, max_admm_iters=2000)
-        state = learn.cosparse_code(op, y, cfg)
+        X, _, _, _, _ = learn.cosparse_code_many(op, y[:, None], cfg)
         x_ref = admm_direct_oracle(op.matrix, y, lam, cfg.mu, 2000, 1e-8)
-        f_mine = _objective(op.matrix, state.x, y, lam)
+        f_mine = _objective(op.matrix, X[:, 0], y, lam)
         f_ref = _objective(op.matrix, x_ref, y, lam)
         assert abs(f_mine - f_ref) <= 1e-5 * abs(f_ref)
 
@@ -120,8 +121,8 @@ def test_code_never_worse_than_trivial_point():
     cfg = learn.TrainConfig(lam=0.2)
     for _ in range(10):
         y = rng.standard_normal(21)
-        state = learn.cosparse_code(op, y, cfg)
-        assert (_objective(op.matrix, state.x, y, cfg.lam)
+        X, _, _, _, _ = learn.cosparse_code_many(op, y[:, None], cfg)
+        assert (_objective(op.matrix, X[:, 0], y, cfg.lam)
                 <= _objective(op.matrix, y, y, cfg.lam) + 1e-8)
 
 
@@ -129,27 +130,26 @@ def test_code_residual_below_tol_on_early_exit():
     op = learn.init_operator(24, 16, seed=10)
     cfg = learn.TrainConfig(lam=0.05)
     y = np.random.default_rng(11).standard_normal(16)
-    state = learn.cosparse_code(op, y, cfg)
-    assert state.iterations_used < cfg.max_admm_iters
-    assert state.primal_residual <= cfg.admm_tol
-    assert state.v.shape == (24,)
-    assert state.d.shape == (24,)
+    _, V, D, resid, iters = learn.cosparse_code_many(op, y[:, None], cfg)
+    assert iters[0] < cfg.max_admm_iters
+    assert resid[0] <= cfg.admm_tol
+    assert V[:, 0].shape == (24,)
+    assert D[:, 0].shape == (24,)
 
 
 def test_code_rejects_wrong_length():
     op = learn.init_operator(8, 6, seed=0)
     with pytest.raises(ValueError):
-        learn.cosparse_code(op, np.zeros(5), learn.TrainConfig())
+        learn.cosparse_code_many(op, np.zeros(5)[:, None], learn.TrainConfig())
 
 
 def test_code_numerical_failure_reports_iteration():
     # mu overflows A = I + mu W^T W, whose inverse is still finite junk.
     op = learn.init_operator(8, 6, seed=0)
     cfg = learn.TrainConfig(lam=1.0, mu=1e308)
-    for code, signal in ((learn.cosparse_code, np.ones(6)),
-                         (learn.cosparse_code_many, np.ones((6, 3)))):
+    for signals in (np.ones((6, 1)), np.ones((6, 3))):
         with pytest.raises(learn.NumericalFailure) as err:
-            code(op, signal, cfg)
+            learn.cosparse_code_many(op, signals, cfg)
         assert err.value.iteration == 1
 
 
@@ -160,9 +160,9 @@ def test_batch_coding_agrees_with_single():
     Y = rng.standard_normal((16, 7))
     X, V, D, resid, iters = learn.cosparse_code_many(op, Y, cfg)
     for i in range(7):
-        state = learn.cosparse_code(op, Y[:, i], cfg)
-        np.testing.assert_allclose(X[:, i], state.x, atol=1e-8)
-        assert iters[i] == state.iterations_used
+        x, _, _, _, it = learn.cosparse_code_many(op, Y[:, i][:, None], cfg)
+        np.testing.assert_allclose(X[:, i], x[:, 0], atol=1e-8)
+        assert iters[i] == it[0]
 
 
 def test_batch_columns_capped_at_max_iters_keep_last_residual():
@@ -196,10 +196,10 @@ def test_batch_iteration_counts_match_single_column_solves():
     assert len(np.unique(iters)) >= 4
     assert np.all(resid <= cfg.admm_tol)
     for i in range(Y.shape[1]):
-        state = learn.cosparse_code(op, Y[:, i], cfg)
-        assert iters[i] == state.iterations_used
-        assert resid[i] == pytest.approx(state.primal_residual, rel=1e-6, abs=1e-12)
-        np.testing.assert_allclose(X[:, i], state.x, atol=1e-10)
+        x, _, _, r, it = learn.cosparse_code_many(op, Y[:, i][:, None], cfg)
+        assert iters[i] == it[0]
+        assert resid[i] == pytest.approx(r[0], rel=1e-6, abs=1e-12)
+        np.testing.assert_allclose(X[:, i], x[:, 0], atol=1e-10)
 
 
 def test_warm_start_from_converged_state_retires_at_once():
