@@ -50,7 +50,6 @@ def main():
           " ".join(f"{v:.1f}" for v in report.objective_per_sweep))
 
     cfg = FusionConfig(lambda_local=0.05 if args.sigma > 0 else 0.01,
-                       lambda_global=0.02 if args.sigma > 0 else 0.005,
                        overlap=4 if args.sigma > 0 else 1)
     result = fuse([left, right], operator, cfg)
     naive = np.clip((left + right) / 2.0, 0, 255)

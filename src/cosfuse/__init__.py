@@ -1,6 +1,6 @@
 """Cosparse analysis operator learning and multi-focus image fusion."""
 
-from .fuse import FusionConfig, FusionResult, global_reconstruct, local_fuse
+from .fuse import FusionConfig, FusionResult, local_fuse
 from .learn import (
     AnalysisOperator,
     NumericalFailure,
@@ -21,7 +21,6 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "cosparse_code_many",
-    "global_reconstruct",
     "init_operator",
     "local_fuse",
     "train",

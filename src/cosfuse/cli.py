@@ -335,13 +335,12 @@ def cmd_sweep(ns):
             a = imageio.add_gaussian_noise(left, sigma, (cfgv["seed"], n, sigma, 0))
             b = imageio.add_gaussian_noise(right, sigma, (cfgv["seed"], n, sigma, 1))
             # The per-patch solve emulates a constrained l1 budget, so the
-            # penalty weights scale with the noise level (configured values
-            # apply at sigma = 15; the noise-free runs need no shrinkage).
-            scale = sigma / 15.0
+            # sparsity weight scales with the noise level (the configured
+            # value applies at sigma = 15; the noise-free runs need no
+            # shrinkage).
             fcfg = dataclasses.replace(
                 base, patch_size=n, overlap=1,
-                lambda_local=base.lambda_local * scale,
-                lambda_global=base.lambda_global * scale,
+                lambda_local=base.lambda_local * (sigma / 15.0),
             )
             result = fuse_images([a, b], operator, fcfg)
             rows.append((

@@ -7,20 +7,13 @@ before any operator is applied, matching the training preprocessing):
 1. activity ranking: per grid cell, every candidate patch is scored by the
    l1 norm of its analyzed (mean-subtracted) content; the highest-activity
    candidate wins, ties going to the lowest source index.
-2. local estimation: each winner patch is denoised by the same ADMM coding
-   solve the learner uses, with the local sparsity weight; patch means are
-   restored afterwards and the results are overlap-added into the initial
-   fused estimate.
-3. global reconstruction: a few outer rounds trade data fidelity against
-   the summed analyzed l1 norm of all patches. Each round codes the patches
-   of the current estimate, overlap-adds, and blends the result with the
-   initial estimate; a round is only accepted if it does not increase the
-   objective, so the final estimate never scores worse than the initial one.
-   The first round's ADMM starts cold; each later round starts from the
-   (V, D) the previous round returned, since the grid is the same and the
-   estimate moves little between rounds.
+2. local estimation: the winner patches of all cells are denoised in one
+   ADMM coding call, the same solve the learner uses, with the local
+   sparsity weight; patch means are restored afterwards and the results
+   are overlap-added into the fused estimate.
 
-Output pixels are clamped to [0, 255] at the very end only.
+Each input is extracted once and each cell coded once. Output pixels are
+clamped to [0, 255] at the very end only.
 """
 
 from __future__ import annotations
@@ -39,7 +32,6 @@ __all__ = [
     "FusionResult",
     "activity",
     "local_fuse",
-    "global_reconstruct",
     "fuse",
     "winner_map_text",
     "activity_text",
@@ -52,29 +44,24 @@ class FusionConfig:
     default to, and are checked by, ``TrainConfig``."""
 
     lambda_local: float = 0.05
-    lambda_global: float = 0.02
     patch_size: int = 7
     overlap: int = 1
     mu: float = TrainConfig.mu
     admm_tol: float = TrainConfig.admm_tol
     max_admm_iters: int = TrainConfig.max_admm_iters
-    global_rounds: int = 3
 
     def __post_init__(self):
         _check_setting("lambda_local", self.lambda_local)
-        _check_setting("lambda_global", self.lambda_global)
-        self._coding_config(self.lambda_local)  # checks the solver settings
+        self._coding_config()  # checks the solver settings
         if not 0 <= self.overlap < self.patch_size:
             raise ValueError(
                 f"overlap must satisfy 0 <= p < n, got p={self.overlap}, "
                 f"n={self.patch_size}"
             )
-        if self.global_rounds < 0:
-            raise ValueError("global_rounds must be nonnegative")
 
-    def _coding_config(self, lam):
+    def _coding_config(self):
         return TrainConfig(
-            lam=lam,
+            lam=self.lambda_local,
             mu=self.mu,
             max_admm_iters=self.max_admm_iters,
             admm_tol=self.admm_tol,
@@ -116,15 +103,6 @@ def _check_images(images):
     return arrays
 
 
-def _grid_for(op, shape, cfg):
-    if op.m != cfg.patch_size ** 2:
-        raise ValueError(
-            f"operator signal dimension {op.m} does not match patch size "
-            f"{cfg.patch_size}x{cfg.patch_size}"
-        )
-    return build_grid(shape[1], shape[0], cfg.patch_size, cfg.overlap)
-
-
 def local_fuse(op, images, cfg):
     """Select and denoise the winner patch per grid cell.
 
@@ -133,7 +111,13 @@ def local_fuse(op, images, cfg):
     local-stage diagnostics.
     """
     arrays = _check_images(images)
-    grid = _grid_for(op, arrays[0].shape, cfg)
+    if op.m != cfg.patch_size ** 2:
+        raise ValueError(
+            f"operator signal dimension {op.m} does not match patch size "
+            f"{cfg.patch_size}x{cfg.patch_size}"
+        )
+    rows, cols = arrays[0].shape
+    grid = build_grid(cols, rows, cfg.patch_size, cfg.overlap)
     W = op.matrix
     n_cells = grid.cell_count
 
@@ -150,7 +134,7 @@ def local_fuse(op, images, cfg):
     means = P_win.mean(axis=0)
 
     X, _, _, residual, iterations = cosparse_code_many(
-        op, P_win - means, cfg._coding_config(cfg.lambda_local),
+        op, P_win - means, cfg._coding_config(),
     )
     patch_l1 = np.abs(W @ X).sum(axis=0)
     return FusionResult(
@@ -166,88 +150,25 @@ def local_fuse(op, images, cfg):
     )
 
 
-def _merge_admm_counters(into, counters):
-    """Fold one coding call's ``_admm_counters`` into a running total."""
-    into["admm_iters_total"] += counters["admm_iters_total"]
-    into["admm_iters_max"] = max(into["admm_iters_max"], counters["admm_iters_max"])
-    into["admm_nonconverged"] += counters["admm_nonconverged"]
-
-
 def _global_impl(op, initial, cfg):
-    counters = {"admm_iters_total": 0.0, "admm_iters_max": 0.0,
-                "admm_nonconverged": 0.0}
-    if cfg.lambda_global == 0 or cfg.global_rounds == 0:
-        return initial.copy(), {
-            "global_rounds_run": 0.0,
-            "global_objective_initial": 0.0,
-            "global_objective_final": 0.0,
-            **counters,
-        }
-    grid = _grid_for(op, initial.shape, cfg)
-    W = op.matrix
-    lam = cfg.lambda_global
-    I0 = initial / PIXEL_SCALE
-
-    def objective(img):
-        """Data fidelity plus weighted patchwise analyzed l1 norm of ``img``,
-        with its mean-subtracted patch matrix and patch means, which the
-        next round codes."""
-        P = extract_matrix(img, grid)
-        means = P.mean(axis=0)
-        P -= means
-        obj = float(np.sum((img - I0) ** 2)) + lam * float(np.abs(W @ P).sum())
-        return obj, P, means
-
-    coding_cfg = cfg._coding_config(lam)
-    blend = 1.0 / (1.0 + lam)
-    best = I0
-    best_obj, P, means = objective(I0)
-    initial_obj = best_obj
-    rounds_run = 0
-    start = None
-    for _ in range(cfg.global_rounds):
-        X, V, D, residual, iterations = cosparse_code_many(op, P, coding_cfg,
-                                                           start=start)
-        start = (V, D)
-        _merge_admm_counters(counters, _admm_counters(residual, iterations, cfg))
-        smoothed = overlap_add_matrix(X + means, grid)
-        candidate = blend * I0 + (1.0 - blend) * smoothed
-        cand_obj, P, means = objective(candidate)
-        if cand_obj > best_obj:
-            break
-        best, best_obj = candidate, cand_obj
-        rounds_run += 1
-    diag = {
-        "global_rounds_run": float(rounds_run),
-        "global_objective_initial": initial_obj,
-        "global_objective_final": best_obj,
-        **counters,
+    """Pass-through that keeps the benchmark's readers working:
+    ``bench/tracing.py`` wraps this attribute as the ``fuse.global`` span and
+    reads ``global_rounds_run``, and ``bench/checks.py`` reads the two
+    objective lines of ``_diag.txt``. The next benchmark refresh deletes it."""
+    return initial, {
+        "global_rounds_run": 0.0,
+        "global_objective_initial": 0.0,
+        "global_objective_final": 0.0,
     }
-    return best * PIXEL_SCALE, diag
-
-
-def global_reconstruct(op, initial, cfg):
-    """Analysis-regularized refinement of an initial fused estimate.
-
-    With a zero global sparsity weight the input is returned unchanged.
-    Otherwise the returned image never has a larger objective (data fidelity
-    plus weighted patchwise analyzed l1 norm) than the input.
-    """
-    initial = np.asarray(initial, dtype=np.float64)
-    if initial.ndim != 2:
-        raise ValueError("initial estimate must be a 2-d image")
-    out, _ = _global_impl(op, initial, cfg)
-    return out
 
 
 def fuse(images, op, cfg):
-    """Full fusion pipeline: local selection and denoising, then global
-    reconstruction, then a final clamp to [0, 255]."""
+    """Full fusion pipeline: local selection and denoising, then a final
+    clamp to [0, 255]."""
     result = local_fuse(op, images, cfg)
-    refined, gdiag = _global_impl(op, result.fused, cfg)
-    _merge_admm_counters(gdiag, result.diagnostics)
+    fused, gdiag = _global_impl(op, result.fused, cfg)
     result.diagnostics.update(gdiag)
-    result.fused = np.clip(refined, 0.0, 255.0)
+    result.fused = np.clip(fused, 0.0, 255.0)
     return result
 
 

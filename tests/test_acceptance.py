@@ -138,7 +138,7 @@ def test_criterion_4_planted_operator_training():
 
 def test_criterion_5_synthetic_fusion(trained_operator, texture_128):
     a, b = imageio.synth_multifocus(texture_128, 2.0, split=64)
-    cfg = FusionConfig(lambda_local=0.01, lambda_global=0.005)
+    cfg = FusionConfig(lambda_local=0.01)
     result = fuse([a, b], trained_operator, cfg)
     p_fused = metrics.psnr(result.fused, texture_128)
     p_best = max(metrics.psnr(a, texture_128), metrics.psnr(b, texture_128))
@@ -167,7 +167,7 @@ def test_criterion_6_noisy_fusion_beats_average(trained_operator, texture_128):
     a = imageio.add_gaussian_noise(a0, 15.0, seed=(9, 0))
     b = imageio.add_gaussian_noise(b0, 15.0, seed=(9, 1))
     naive = np.clip((a + b) / 2.0, 0.0, 255.0)
-    cfg = FusionConfig(lambda_local=0.05, lambda_global=0.02, overlap=4)
+    cfg = FusionConfig(lambda_local=0.05, overlap=4)
     result = fuse([a, b], trained_operator, cfg)
     margin = metrics.psnr(result.fused, texture_128) - metrics.psnr(naive, texture_128)
     _report("criterion 6 (noisy fusion vs naive average)", margin >= 1.0,

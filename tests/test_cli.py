@@ -118,6 +118,15 @@ def test_train_rejects_non_square_m(workdir, tmp_path):
     assert rc == EXIT_INPUT
 
 
+def _command_argv(workdir, cmd, out):
+    """``cmd`` with its required inputs from ``workdir`` and ``--out out``."""
+    source = {"train": ["--images", str(workdir["imgdir"])],
+              "fuse": ["--inputs", str(workdir["imgdir"] / "a.pgm"),
+                       str(workdir["imgdir"] / "b.pgm"), "--op", str(workdir["op"])],
+              "sweep": ["--truth", str(workdir["truth"])]}[cmd]
+    return [cmd, *source, "--out", str(out)]
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--mu", "0"],
     ["sweep", "--lam", "-1"],
@@ -134,26 +143,45 @@ def test_train_rejects_non_square_m(workdir, tmp_path):
     ["train", "--cosupport-tol", "nan"],
     ["train", "--lam", "inf"],
     ["fuse", "--lambda-local", "nan"],
-    ["fuse", "--lambda-global", "nan"],
     ["fuse", "--admm-tol", "nan"],
     ["fuse", "--mu", "nan"],
     ["fuse", "--sigma", "nan"],
     ["fuse", "--sigma", "inf"],
-    ["sweep", "--lambda-global", "nan"],
     ["sweep", "--sigma-b", "inf"],
     # Finite as given, but the sigma/15 scaling makes it infinite at sigma 20.
     ["sweep", "--lambda-local", "1.5e308", "--train-patches", "50",
-     "--train-sweeps", "1", "--max-admm-iters", "30", "--global-rounds", "1"],
+     "--train-sweeps", "1", "--max-admm-iters", "30"],
 ], ids=" ".join)
 def test_bad_option_values_exit_2_without_output(workdir, tmp_path, argv):
     cmd, *options = argv
-    source = {"train": ["--images", str(workdir["imgdir"])],
-              "fuse": ["--inputs", str(workdir["imgdir"] / "a.pgm"),
-                       str(workdir["imgdir"] / "b.pgm"), "--op", str(workdir["op"])],
-              "sweep": ["--truth", str(workdir["truth"])]}[cmd]
-    rc = main([cmd, *source, "--out", str(tmp_path / "out.txt"), *options])
+    rc = main([*_command_argv(workdir, cmd, tmp_path / "out.txt"), *options])
     assert rc == EXIT_INPUT
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--lambda-global", "--global-rounds"],
+                         ids=lambda flag: flag[2:])
+@pytest.mark.parametrize("cmd", ["fuse", "sweep"])
+@pytest.mark.parametrize("given_as", ["flag", "config"])
+def test_deleted_global_options_exit_2_without_output(workdir, tmp_path, capsys,
+                                                      flag, cmd, given_as):
+    """The global pass is gone with its two options: each one, given as a
+    flag or as a config key, is bad input, and nothing is written."""
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    argv = _command_argv(workdir, cmd, outdir / "out.txt")
+    key = flag[2:].replace("-", "_")
+    if given_as == "flag":
+        argv += [flag, "0"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 0\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (flag if given_as == "flag" else repr(key)) in captured.err
+    assert captured.out == ""
+    assert list(outdir.iterdir()) == []
 
 
 @pytest.mark.parametrize("cmd", ["train", "fuse", "synth"])
@@ -165,7 +193,7 @@ def test_output_in_missing_directory_exits_2_without_output(
         "train": ["train", "--images", str(workdir["imgdir"]), "--out", missing,
                   "--h", "16", "--m", "9", "--patches", "50", "--sweeps", "1"],
         "fuse": _fuse_args(workdir, out[0], extra=[
-            "--max-admm-iters", "30", "--global-rounds", "1",
+            "--max-admm-iters", "30",
             "--diagnostics", missing]),
         "synth": ["synth", "--truth", str(workdir["truth"]),
                   "--out-truth", out[1], "--out-a", out[2], "--out-b", missing],
@@ -182,7 +210,7 @@ def test_outputs_naming_one_file_exit_2_without_output(
     command exits 2 before it writes anything."""
     argv = {
         "fuse": _fuse_args(workdir, tmp_path / "f.pgm", extra=[
-            "--max-admm-iters", "30", "--global-rounds", "1",
+            "--max-admm-iters", "30",
             "--diagnostics", str(tmp_path / "f_winners.txt")]),
         "synth": ["synth", "--truth", str(workdir["truth"]),
                   "--out-truth", str(tmp_path / "x.pgm"),
@@ -209,7 +237,7 @@ def test_output_naming_a_directory_exits_2_without_output(
               "synth-trailing-sep": str(tmp_path / "nodir") + os.sep}[cmd]
     if cmd == "fuse":
         argv = _fuse_args(workdir, tmp_path / "f.pgm", extra=[
-            "--max-admm-iters", "30", "--global-rounds", "1",
+            "--max-admm-iters", "30",
             "--diagnostics", target])
     else:
         argv = ["synth", "--truth", str(workdir["truth"]),
@@ -236,7 +264,7 @@ def test_outputs_take_the_umask_mode(workdir, tmp_path, umask, mode):
                      "--out", str(outputs[0]), "--h", "16", "--m", "9",
                      "--patches", "50", "--sweeps", "1"]) == EXIT_OK
         assert main(_fuse_args(workdir, outputs[1], extra=[
-            "--max-admm-iters", "30", "--global-rounds", "1",
+            "--max-admm-iters", "30",
             "--winner-map", str(outputs[2]),
             "--diagnostics", str(outputs[3])])) == EXIT_OK
     finally:
@@ -341,7 +369,7 @@ def test_fuse_single_input_passthrough(workdir, tmp_path):
     out = tmp_path / "single.pgm"
     rc = main(["fuse", "--inputs", str(workdir["truth"]), "--op",
                str(workdir["op"]), "--out", str(out),
-               "--lambda-local", "0", "--lambda-global", "0"])
+               "--lambda-local", "0"])
     assert rc == EXIT_OK
     np.testing.assert_allclose(imageio.load_pgm(out),
                                imageio.load_pgm(workdir["truth"]), atol=1.0)
@@ -528,7 +556,7 @@ def test_sweep_csv_has_25_rows(workdir, tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep", "--truth", str(workdir["truth"]), "--out", str(out),
                "--train-patches", "150", "--train-sweeps", "1",
-               "--max-admm-iters", "60", "--global-rounds", "1",
+               "--max-admm-iters", "60",
                "--seed", "4"])
     assert rc == EXIT_OK
     lines = out.read_text().strip().splitlines()
