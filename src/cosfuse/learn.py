@@ -280,7 +280,7 @@ def sample_training_patches(images, n, count, seed):
     return Y
 
 
-def cosparse_code_many(op, Y, cfg):
+def cosparse_code_many(op, Y, cfg, start=None):
     """ADMM cosparse coding of every column of Y against the operator W.
 
     Returns (X, V, D, primal residuals, iterations used). The loop iterates
@@ -311,9 +311,11 @@ def cosparse_code_many(op, Y, cfg):
     positive diagonal), so its x at retirement is non-finite and raises
     ``NumericalFailure``.
 
-    The iteration starts from V = W Y and D = 0 (T = 0, C = 0), so at
-    lam = 0 the first trip has T = 0 and x = y exactly. An empty Y returns
-    empty results at once.
+    The iteration starts cold, from V = W Y and D = 0 (T = 0, C = 0),
+    unless ``start`` gives an initial (V, D): two finite h-by-N arrays, such
+    as the V and D a previous call returned for nearby signals; then
+    T = Z - V - D and C = -D. From a cold start at lam = 0 the first trip has
+    T = 0, so x = y exactly. An empty Y returns empty results at once.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
@@ -326,6 +328,13 @@ def cosparse_code_many(op, Y, cfg):
     if Y.shape[0] != m:
         raise ValueError(f"signals have dimension {Y.shape[0]}, operator expects {m}")
     n_cols = Y.shape[1]
+    if start is not None:
+        Vs, Ds = (np.asarray(a, dtype=np.float64) for a in start)
+        if Vs.shape != (h, n_cols) or Ds.shape != (h, n_cols):
+            raise ValueError(f"start must be two {h}x{n_cols} arrays, got "
+                             f"{Vs.shape} and {Ds.shape}")
+        if not (np.all(np.isfinite(Vs)) and np.all(np.isfinite(Ds))):
+            raise ValueError("start contains non-finite entries")
     X = np.empty((m, n_cols))
     V = np.empty((h, n_cols))
     D = np.empty((h, n_cols))
@@ -350,7 +359,12 @@ def cosparse_code_many(op, Y, cfg):
     live = np.ones(n_cols, bool)
     n_live = n_cols
     Za = W @ Y
-    T, C = np.zeros((h, n_cols)), np.zeros((h, n_cols))
+    if start is None:
+        T, C = np.zeros((h, n_cols)), np.zeros((h, n_cols))
+    else:
+        T = Za - Vs
+        T -= Ds
+        C = -Ds
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, max_admm_iters + 1):
             KT = K @ T  # z - W x

@@ -143,10 +143,13 @@ def _command_argv(workdir, cmd, out):
     ["train", "--cosupport-tol", "nan"],
     ["train", "--lam", "inf"],
     ["fuse", "--lambda-local", "nan"],
+    # A deleted option is bad input too: argparse rejects the unknown flag.
+    ["fuse", "--lambda-global", "nan"],
     ["fuse", "--admm-tol", "nan"],
     ["fuse", "--mu", "nan"],
     ["fuse", "--sigma", "nan"],
     ["fuse", "--sigma", "inf"],
+    ["sweep", "--lambda-global", "nan"],
     ["sweep", "--sigma-b", "inf"],
     # Finite as given, but the sigma/15 scaling makes it infinite at sigma 20.
     ["sweep", "--lambda-local", "1.5e308", "--train-patches", "50",
