@@ -78,12 +78,18 @@ class FusionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _activities(W, P):
+    """The ranking rule: the l1 norm of W times each column of P, with the
+    column's mean removed first."""
+    return np.abs(W @ (P - P.mean(axis=0))).sum(axis=0)
+
+
 def activity(op, patch):
     """l1 norm of the analyzed, mean-subtracted patch."""
     data = np.asarray(patch, dtype=np.float64)
     if data.ndim != 1 or data.size != op.m:
         raise ValueError(f"patch must have length {op.m}, got shape {data.shape}")
-    return float(np.abs(op.matrix @ (data - data.mean())).sum())
+    return float(_activities(op.matrix, data[:, None])[0])
 
 
 def _check_images(images):
@@ -122,9 +128,7 @@ def local_fuse(op, images, cfg):
     n_cells = grid.cell_count
 
     candidates = [extract_matrix(img / PIXEL_SCALE, grid) for img in arrays]
-    acts = np.stack([
-        np.abs(W @ (P - P.mean(axis=0))).sum(axis=0) for P in candidates
-    ])  # (K, cells)
+    acts = np.stack([_activities(W, P) for P in candidates])  # (K, cells)
     winner = acts.argmax(axis=0)  # first max wins, i.e. smallest k
 
     P_win = np.empty_like(candidates[0])
@@ -175,9 +179,9 @@ def fuse(images, op, cfg):
 def _grid_text(values, fmt):
     rows, cols = values.shape[0], values.shape[1]
     flat = values.reshape(rows, -1)
+    row_format = " ".join([fmt] * flat.shape[1])
     lines = [f"{rows} {cols}"]
-    for row in flat:
-        lines.append(" ".join(fmt % v for v in row))
+    lines.extend(row_format % tuple(row) for row in flat.tolist())
     return "\n".join(lines) + "\n"
 
 

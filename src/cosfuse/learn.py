@@ -19,9 +19,12 @@ columns):
   [-lam/mu, lam/mu], v is what the clip cut off, and the primal residual
   W x - v is the change in -d. So the loop carries only W y - v - d and the
   clipped dual, and forms v and d when a column retires: as soon as its
-  primal residual reaches the tolerance, or at the iteration cap. Retired
-  columns ride along in the working arrays until fewer than half of them
-  are live, and are then dropped in one compaction.
+  primal residual reaches the tolerance, or at the iteration cap. The
+  working state is signal-major: one C-ordered N-by-h array per quantity,
+  a row per signal, kept in that order for the whole call and written into
+  buffers that are reused from trip to trip. Retired columns ride along in
+  the working arrays until fewer than half of them are live, and are then
+  dropped in one compaction, a gather of the live rows.
 * row update: for each operator row w, collect the coded columns nearly
   orthogonal to it and replace w with the unit vector minimizing the summed
   squared inner products against the corresponding training columns, i.e.
@@ -297,16 +300,26 @@ def cosparse_code_many(op, Y, cfg, start=None):
     K T + C + (C - C_prev). A trip costs one h-by-h product per working
     column, against 2hm + 2m^2 for iterating on x (less whenever
     h < (1 + sqrt 3) m), and seven elementwise passes over the h-wide
-    working arrays: P twice, the clip, the residual, its column norms, and
-    T twice.
+    working arrays: P twice, the clip, the residual, its norms, and T twice.
+
+    The working state is signal-major: Z, T, C and the trip buffers are
+    C-ordered N-by-h arrays, one row per working column, so every pass runs
+    over contiguous memory and the product is T K^T, written into a buffer
+    with ``np.matmul(..., out=)``. The T and K T buffers swap roles each
+    trip, and the residual's buffer holds the next trip's P; only the clip
+    allocates a new N-by-h array. A cold start's first trip has T = 0 and
+    skips the product. ``clip_box`` is given the h-by-N view P^T.
 
     A column retires as soon as its primal residual ||W x - v|| drops to
     ``cfg.admm_tol``, or at ``cfg.max_admm_iters``. Its x = y - M T, v and
-    d = -C are written then, from that trip's state. A retired column rides
-    along in the working arrays, its further trips unread, until fewer than
-    half of the working columns are live; then the live ones are compacted
-    in one gather. So each column behaves as if it were solved on its own,
-    and the gathers happen a few times per call, not at every retirement.
+    d = -C are written then, from that trip's state, found by one
+    ``flatnonzero`` and gathered row by row. A retired column rides along
+    in the working arrays, its further trips unread, until fewer than half
+    of the working columns are live; then the live rows are gathered into
+    new, smaller arrays, which keep the same memory order. So each column
+    behaves as if it were solved on its own, and the gathers happen a few
+    times per call, not at every retirement. X, V and D are m-by-N and
+    h-by-N views of N-row arrays, so a retiring column is one row write.
     A column whose state turns non-finite keeps a non-finite T (K has a
     positive diagonal), so its x at retirement is non-finite and raises
     ``NumericalFailure``.
@@ -335,9 +348,9 @@ def cosparse_code_many(op, Y, cfg, start=None):
                              f"{Vs.shape} and {Ds.shape}")
         if not (np.all(np.isfinite(Vs)) and np.all(np.isfinite(Ds))):
             raise ValueError("start contains non-finite entries")
-    X = np.empty((m, n_cols))
-    V = np.empty((h, n_cols))
-    D = np.empty((h, n_cols))
+    X = np.empty((n_cols, m)).T
+    V = np.empty((n_cols, h)).T
+    D = np.empty((n_cols, h)).T
     residual = np.empty(n_cols)
     iterations = np.empty(n_cols, dtype=np.int64)
     if n_cols == 0:
@@ -352,52 +365,63 @@ def cosparse_code_many(op, Y, cfg, start=None):
     K = W @ M
     tau = lam / mu
 
-    # Working set: original column index, liveness and the state of each
-    # column. T is z - u, the x-step's right-hand side; C is -d, the dual
-    # clipped to the box [-tau, tau].
+    # Working set, signal-major: row i of the C-ordered N-by-h arrays holds
+    # the state of column idx[i]. T is z - u, the x-step's right-hand side;
+    # C is -d, the dual clipped to the box [-tau, tau]. KT and P are trip
+    # buffers; T and KT swap roles every trip.
     idx = np.arange(n_cols)
     live = np.ones(n_cols, bool)
     n_live = n_cols
-    Za = W @ Y
+    Za = Y.T @ W.T
     if start is None:
-        T, C = np.zeros((h, n_cols)), np.zeros((h, n_cols))
+        T, C, KT = (np.zeros(Za.shape) for _ in range(3))
     else:
-        T = Za - Vs
-        T -= Ds
-        C = -Ds
+        T = np.subtract(Za, Vs.T, out=np.empty_like(Za))
+        T -= Ds.T
+        C = np.negative(Ds.T, out=np.empty_like(Za))
+        KT = np.empty_like(Za)
+    P = np.empty_like(Za)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, max_admm_iters + 1):
-            KT = K @ T  # z - W x
-            P = Za - KT
+            # A cold start's first T is 0, and so is K T.
+            if t > 1 or start is not None:
+                np.matmul(T, K.T, out=KT)  # z - W x
+            np.subtract(Za, KT, out=P)
             P += C  # W x - d
-            Cn = clip_box(P, tau)
+            Cn = clip_box(P.T, tau).T
             R = np.subtract(Cn, C, out=C)  # the primal residual W x - v
-            r = np.sqrt(np.einsum("ij,ij->j", R, R))
+            r = np.sqrt(np.einsum("ij,ij->i", R, R))
 
             # Not ``r <= admm_tol``: a NaN residual retires its column too.
-            done = live & ~(r > admm_tol) if t < max_admm_iters else live
-            if done.any():
+            done = np.flatnonzero(live & ~(r > admm_tol)
+                                  if t < max_admm_iters else live)
+            if done.size:
                 cols = idx[done]
                 # Where a column's state went non-finite, so did its T.
-                Xd = Y[:, cols] - M @ T[:, done]
-                if not np.all(np.isfinite(Xd)):
+                Xd = Y.T[cols] - T[done] @ M.T
+                if not np.isfinite(Xd).all():
                     raise NumericalFailure("cosparse coding diverged", t)
-                X[:, cols] = Xd
-                Cd = Cn[:, done]
-                V[:, cols] = P[:, done] - Cd
-                D[:, cols] = -Cd
+                X.T[cols] = Xd
+                Cd = Cn[done]
+                V.T[cols] = P[done] - Cd
+                D.T[cols] = -Cd
                 residual[cols] = r[done]
                 iterations[cols] = t
-                live = live & ~done
-                n_live -= cols.size
+                live[done] = False
+                n_live -= done.size
                 if not n_live:
                     break
             KT += Cn
             KT += R
-            T, C = KT, Cn
+            # The next P goes in the residual's buffer, so the next clip can
+            # take the one this P frees.
+            T, KT, C, P = KT, T, Cn, R
             # Retired columns ride along until fewer than half are live.
             if 2 * n_live < idx.size:
-                idx, Za, T, C = idx[live], Za[:, live], T[:, live], C[:, live]
+                keep = np.flatnonzero(live)
+                del KT, P, R, Cn  # free the trip buffers before the gathers
+                idx, Za, T, C = idx[keep], Za[keep], T[keep], C[keep]
+                KT, P = np.empty_like(T), np.empty_like(T)
                 live = np.ones(n_live, bool)
     return X, V, D, residual, iterations
 

@@ -98,8 +98,8 @@ def matrix_text(M, comments=()):
     M = _as_matrix(M)
     lines = [f"# {c}" for c in comments]
     lines.append(f"{M.shape[0]} {M.shape[1]}")
-    for row in M:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
+    row_format = " ".join(["%.17g"] * M.shape[1])
+    lines.extend(row_format % tuple(row) for row in M.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -124,9 +124,7 @@ def load_matrix_text(path):
         raise MatrixFormatError(f"{path}: bad dimension line {body[0]!r}") from exc
     if rows <= 0 or cols <= 0:
         raise MatrixFormatError(f"{path}: dimensions must be positive")
-    values = []
-    for line in body[1:]:
-        values.extend(line.split())
+    values = " ".join(body[1:]).split()
     if len(values) != rows * cols:
         raise MatrixFormatError(
             f"{path}: expected {rows * cols} values, found {len(values)}"

@@ -10,9 +10,13 @@ from conftest import make_texture
 from cosfuse import imageio, learn, metrics
 from cosfuse.fuse import (
     FusionConfig,
+    FusionResult,
     activity,
+    activity_text,
+    diagnostics_text,
     fuse,
     local_fuse,
+    winner_map_text,
 )
 from cosfuse.patches import build_grid, extract_matrix
 
@@ -296,3 +300,22 @@ def test_fuse_submodule_is_the_package_attribute():
     """``import cosfuse.fuse`` binds the submodule, not the fuse() function."""
     assert fuse_module.cosparse_code_many is learn.cosparse_code_many
     assert fuse_module.fuse is fuse
+
+
+# ---------------------------------------------------------------------------
+# sidecar text formats
+
+def test_sidecar_texts_golden():
+    """The exact bytes of the winner map (%d), activity (%.9g, the K values
+    of each cell in order) and diagnostics (sorted key=%.9g) sidecars."""
+    result = FusionResult(
+        fused=np.zeros((4, 4)),
+        winner_map=np.array([[0, 1, 1], [1, 0, 2]]),
+        activity=np.array([[[-0.0, 1 / 3], [1e-300, 5.0], [2.0 ** 40, 7.0]]]),
+        diagnostics={"b": 1 / 3, "a": 3.0, "c": -0.0, "d": 1e-300, "e": 0.1},
+    )
+    assert winner_map_text(result) == "2 3\n0 1 1\n1 0 2\n"
+    assert activity_text(result) == (
+        "1 3\n-0 0.333333333 1e-300 5 1.09951163e+12 7\n")
+    assert diagnostics_text(result) == (
+        "a=3\nb=0.333333333\nc=-0\nd=1e-300\ne=0.1\n")

@@ -328,6 +328,60 @@ def test_batch_divergence_mid_solve_raises(monkeypatch):
         learn.cosparse_code_many(op, Y, cfg)
 
 
+def test_batch_divergence_after_compaction_reports_its_iteration(monkeypatch):
+    """A column that turns non-finite only after the working set has been
+    compacted raises ``NumericalFailure`` at the trip after: the trip its
+    NaN residual retires it."""
+    rng = np.random.default_rng(29)
+    op = learn.init_operator(20, 16, seed=13)
+    cfg = learn.TrainConfig(lam=0.1)
+    Y = rng.standard_normal((16, 40)) * np.geomspace(0.2, 5.0, 40)
+    clip_box = learn.clip_box
+    calls, injected = [], []
+
+    def inf_after_compaction(v, tau):
+        out = clip_box(v, tau)
+        calls.append(1)
+        if v.shape[1] < Y.shape[1] and not injected:
+            out[:, 0] = np.inf
+            injected.append(len(calls))
+        return out
+
+    monkeypatch.setattr(learn, "clip_box", inf_after_compaction)
+    with pytest.raises(learn.NumericalFailure) as err:
+        learn.cosparse_code_many(op, Y, cfg)
+    assert injected[0] > 2
+    assert err.value.iteration == injected[0] + 1 == len(calls)
+
+
+def test_warm_start_over_compactions_matches_single_column_solves(monkeypatch):
+    """Started from another lam's (V, D), a batch that compacts at least
+    twice gives every column the iterations and x it gets coded alone."""
+    rng = np.random.default_rng(30)
+    op = learn.init_operator(20, 16, seed=13)
+    Y = rng.standard_normal((16, 40)) * np.geomspace(0.2, 5.0, 40)
+    _, V0, D0, _, _ = learn.cosparse_code_many(op, Y, learn.TrainConfig(lam=0.2))
+    cfg = learn.TrainConfig(lam=0.1)
+
+    clip_box = learn.clip_box
+    widths = set()
+
+    def recording(v, tau):
+        widths.add(v.shape[1])
+        return clip_box(v, tau)
+
+    monkeypatch.setattr(learn, "clip_box", recording)
+    X, _, _, _, iters = learn.cosparse_code_many(op, Y, cfg, start=(V0, D0))
+    monkeypatch.setattr(learn, "clip_box", clip_box)
+    assert len(widths) >= 3  # the full batch and at least two compactions
+    assert len(np.unique(iters)) >= 4
+    for i in range(Y.shape[1]):
+        x, _, _, _, it = learn.cosparse_code_many(
+            op, Y[:, [i]], cfg, start=(V0[:, [i]], D0[:, [i]]))
+        assert iters[i] == it[0]
+        np.testing.assert_allclose(X[:, i], x[:, 0], rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # update_row
 

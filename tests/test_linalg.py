@@ -221,3 +221,32 @@ def test_matrix_text_rejects_bad_dims(tmp_path):
     path.write_text("two 2\n1.0 2.0\n")
     with pytest.raises(linalg.MatrixFormatError):
         linalg.load_matrix_text(path)
+
+
+def test_matrix_text_golden():
+    """The exact bytes of the format: 17 significant digits, %g style, so
+    -0.0 keeps its sign and integers print without a point."""
+    M = np.array([[-0.0, 1 / 3, 1e-300],
+                  [2.0, -7.0, 0.1],
+                  [123456789012345678.0, 5e-324, -1.5]])
+    assert linalg.matrix_text(M, comments=["a", "b c"]) == (
+        "# a\n"
+        "# b c\n"
+        "3 3\n"
+        "-0 0.33333333333333331 1e-300\n"
+        "2 -7 0.10000000000000001\n"
+        "1.2345678901234568e+17 4.9406564584124654e-324 -1.5\n"
+    )
+    assert linalg.matrix_text(np.array([[1.0]])) == "1 1\n1\n"
+
+
+def test_load_matrix_text_reads_values_wrapped_across_lines(tmp_path):
+    """Values are read in order whatever the line breaks, blank lines,
+    tabs and interleaved comment lines between them."""
+    path = tmp_path / "m.txt"
+    path.write_text("# head\n\n   2 3  \n-0\n\t0.33333333333333331 1e-300\t2\n"
+                    "  # a comment between values\n\n-7 0.10000000000000001\n")
+    M = linalg.load_matrix_text(path)
+    expected = np.array([[-0.0, 1 / 3, 1e-300], [2.0, -7.0, 0.1]])
+    np.testing.assert_array_equal(M, expected)
+    assert np.signbit(M[0, 0])
