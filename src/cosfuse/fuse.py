@@ -6,14 +6,18 @@ before any operator is applied, matching the training preprocessing):
 
 1. activity ranking: per grid cell, every candidate patch is scored by the
    l1 norm of its analyzed (mean-subtracted) content; the highest-activity
-   candidate wins, ties going to the lowest source index.
-2. local estimation: the winner patches of all cells are denoised in one
-   ADMM coding call, the same solve the learner uses, with the local
-   sparsity weight; patch means are restored afterwards and the results
-   are overlap-added into the fused estimate.
+   candidate wins, ties going to the lowest source index. The inputs are
+   extracted and ranked one at a time, so only the running winner patches
+   and one input's candidates are held at once.
+2. local estimation: the winner patches, centred in place, are denoised in
+   one ADMM coding call, the same solve the learner uses, with the local
+   sparsity weight; patch means are added back into the coded patches in
+   place, and the results are overlap-added into the fused estimate.
 
-Each input is extracted once and each cell coded once. Output pixels are
-clamped to [0, 255] at the very end only.
+Each input is extracted once and each cell coded once. While the coder
+runs, the fuse holds one patch matrix beside it, the centred winners, plus
+the per-cell means, activities and winner map. Output pixels are clamped
+to [0, 255] at the very end only.
 """
 
 from __future__ import annotations
@@ -112,6 +116,12 @@ def _check_images(images):
 def local_fuse(op, images, cfg):
     """Select and denoise the winner patch per grid cell.
 
+    Each input in turn is extracted, ranked and dropped, its patches kept
+    only in the cells it leads so far. The winners are then centred in place
+    and coded; the coder's X gets the means back in place and is
+    overlap-added as it is. So beside the coder's own arrays only the
+    centred winners are held, one (n*n, cells) matrix.
+
     Returns a FusionResult whose ``fused`` is the initial fused estimate,
     not clamped, with the winner map, the per-cell activities and the
     local-stage diagnostics.
@@ -127,24 +137,30 @@ def local_fuse(op, images, cfg):
     W = op.matrix
     n_cells = grid.cell_count
 
-    candidates = [extract_matrix(img / PIXEL_SCALE, grid) for img in arrays]
-    acts = np.stack([_activities(W, P) for P in candidates])  # (K, cells)
-    winner = acts.argmax(axis=0)  # first max wins, i.e. smallest k
+    # Input k takes the cells where it leads inputs 0..k, ties going to the
+    # smallest index, so the last ranking is the winner map.
+    acts = np.empty((len(arrays), n_cells))
+    for k, img in enumerate(arrays):
+        P = extract_matrix(img / PIXEL_SCALE, grid)
+        acts[k] = _activities(W, P)
+        winner = acts[:k + 1].argmax(axis=0)
+        if k == 0:
+            winners = P
+        else:
+            np.copyto(winners, P, where=winner == k)
+        del P  # before the next input is extracted
 
-    P_win = np.empty_like(candidates[0])
-    for k in range(len(candidates)):
-        mask = winner == k
-        P_win[:, mask] = candidates[k][:, mask]
-    means = P_win.mean(axis=0)
-
+    means = winners.mean(axis=0)
+    winners -= means  # centred in place: the coder's Y
     X, _, _, residual, iterations = cosparse_code_many(
-        op, P_win - means, cfg._coding_config(),
+        op, winners, cfg._coding_config(),
     )
     patch_l1 = np.abs(W @ X).sum(axis=0)
+    X += means  # X is a view that overlap_add_matrix reads without a copy
     return FusionResult(
-        fused=overlap_add_matrix(X + means, grid) * PIXEL_SCALE,
+        fused=overlap_add_matrix(X, grid) * PIXEL_SCALE,
         winner_map=winner.reshape(grid.grid_rows, grid.grid_cols),
-        activity=acts.T.reshape(grid.grid_rows, grid.grid_cols, len(candidates)),
+        activity=acts.T.reshape(grid.grid_rows, grid.grid_cols, len(arrays)),
         diagnostics={
             "cells": float(n_cells),
             "local_l1_mean": float(patch_l1.mean()),

@@ -91,7 +91,8 @@ def _check_image(image, grid):
 
 
 def extract_matrix(image, grid):
-    """Extract all patches as the columns of a (n*n, cells) matrix.
+    """Extract all patches as the columns of a new C-ordered (n*n, cells)
+    matrix.
 
     Columns are ordered row-major over grid cells; each column is the window
     flattened row-major.
@@ -101,7 +102,9 @@ def extract_matrix(image, grid):
     windows = np.lib.stride_tricks.sliding_window_view(image, (n, n))
     rows = np.asarray(grid.row_offsets)
     cols = np.asarray(grid.col_offsets)
-    blocks = windows[rows][:, cols]  # (grid_rows, grid_cols, n, n)
+    # One index on both axes gathers just the grid's windows; indexing the
+    # rows first would copy every column offset of them.
+    blocks = windows[rows[:, None], cols]  # (grid_rows, grid_cols, n, n)
     return blocks.reshape(grid.cell_count, grid.patch_dim).T.copy()
 
 
@@ -121,7 +124,9 @@ def overlap_add_matrix(P, grid):
 
     ``bincount`` adds the contributions to each pixel in cell order, the
     order of a loop over the cells, so the sums are exactly those of
-    adding the patches one by one.
+    adding the patches one by one. It reads P cell-major, so P given as the
+    transposed view of a C-ordered (cells, n*n) array is read without a
+    copy.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.shape != (grid.patch_dim, grid.cell_count):

@@ -1,6 +1,7 @@
 """Tests for the fusion pipeline."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,29 @@ def test_select_patch_tie_breaks_to_smallest_index(random_operator):
     assert np.array_equal(acts[..., 0], acts[..., 1])
     assert np.array_equal(acts[..., 0], acts[..., 2])
     assert np.all(result.winner_map == 0)
+
+
+@pytest.mark.parametrize("third", ["copy", "negated"])
+def test_later_input_equal_to_the_leader_does_not_take_its_cells(random_operator,
+                                                                 third):
+    # Input 0 is blurred right of column 12, where inputs 1 and 2 both beat
+    # it; on the left all three tie. Input 2 is input 1 or its negation,
+    # whose activities are the same bit for bit but whose patches differ.
+    # Input 1 must keep the cells it leads, so the fuse equals that of
+    # inputs 0 and 1 alone.
+    sharp = np.random.default_rng(3).uniform(0, 255, (25, 25))
+    left = np.arange(25) < 12
+    base = np.where(left, sharp, imageio.gaussian_blur(sharp, 2.0))
+    other = sharp.copy() if third == "copy" else -sharp
+    cfg = FusionConfig()
+    result = local_fuse(random_operator, [base, sharp, other], cfg)
+    acts = result.activity
+    assert np.array_equal(acts[..., 1], acts[..., 2])
+    lead = acts[..., 1] > acts[..., 0]
+    assert lead.any() and not lead.all()
+    np.testing.assert_array_equal(result.winner_map, np.where(lead, 1, 0))
+    pair = local_fuse(random_operator, [base, sharp], cfg)
+    assert result.fused.tobytes() == pair.fused.tobytes()
 
 
 def test_local_fuse_winner_map_matches_activity_oracle(trained_operator, texture_128):
@@ -233,6 +257,39 @@ def test_fuse_extracts_each_image_once(trained_operator, texture_128, monkeypatc
     result = fuse([a, b], trained_operator, FusionConfig(overlap=4))
     assert len(calls["extract"]) == 2
     assert [args[1].shape[1] for args in calls["code"]] == [result.diagnostics["cells"]]
+
+
+def _traced_peak(fn, *args):
+    """Peak traced allocation, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_local_fuse_holds_one_patch_matrix_beside_the_coder(trained_operator,
+                                                            texture_128):
+    """Beside the coder's own arrays, ``local_fuse`` holds about one patch
+    matrix, the centred winners: its traced peak exceeds that of coding the
+    same (already allocated) winners by at most 1.5 times their size."""
+    a, b = imageio.synth_multifocus(texture_128, 2.0, split=64)
+    images = [imageio.add_gaussian_noise(a, 15.0, seed=1),
+              imageio.add_gaussian_noise(b, 15.0, seed=2)]
+    cfg = FusionConfig(overlap=4)
+    grid = build_grid(128, 128, 7, 4)
+    candidates = [extract_matrix(img / 255.0, grid) for img in images]
+    winner = np.stack([fuse_module._activities(trained_operator.matrix, P)
+                       for P in candidates]).argmax(axis=0)
+    winners = np.where(winner == 1, candidates[1], candidates[0])
+    winners -= winners.mean(axis=0)
+    del candidates
+
+    coder_peak = _traced_peak(learn.cosparse_code_many, trained_operator,
+                              winners, cfg._coding_config())
+    fuse_peak = _traced_peak(local_fuse, trained_operator, images, cfg)
+    assert fuse_peak - coder_peak <= 1.5 * winners.nbytes
 
 
 def test_fuse_is_the_clamped_local_pass(trained_operator, texture_128):

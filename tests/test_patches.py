@@ -55,6 +55,24 @@ def test_extract_indexing_on_ramp():
     np.testing.assert_array_equal(P[:7, 0], img[0, :7])
 
 
+def test_extract_matches_cell_loop_on_clamped_nonsquare_image():
+    img = np.random.default_rng(4).standard_normal((19, 27))
+    g = patches.build_grid(27, 19, n=5, p=2)
+    # Neither 19 - 5 nor 27 - 5 is a multiple of the stride 3, so the last
+    # offset on each axis is clamped to the edge.
+    assert g.row_offsets[-1] - g.row_offsets[-2] < g.stride
+    assert g.col_offsets[-1] - g.col_offsets[-2] < g.stride
+    expected = np.empty((g.patch_dim, g.cell_count))
+    cell = 0
+    for r in g.row_offsets:
+        for c in g.col_offsets:
+            expected[:, cell] = img[r:r + 5, c:c + 5].ravel()
+            cell += 1
+    P = patches.extract_matrix(img, g)
+    assert P.flags.c_contiguous
+    assert P.tobytes() == expected.tobytes()
+
+
 def test_extract_rejects_mismatched_image():
     g = patches.build_grid(10, 10, n=3, p=0)
     with pytest.raises(ValueError):
@@ -139,3 +157,14 @@ def test_overlap_add_matrix_matches_loop_bit_for_bit(side, p):
     P = np.random.default_rng(side).standard_normal((g.patch_dim, g.cell_count))
     expected = _loop_overlap_add(P, g)
     assert patches.overlap_add_matrix(P, g).tobytes() == expected.tobytes()
+
+
+def test_overlap_add_matrix_reads_a_transposed_view():
+    # The coder returns X as the (m, N) view of an (N, m) array.
+    g = patches.build_grid(27, 19, n=5, p=2)
+    rows = np.random.default_rng(6).standard_normal((g.cell_count, g.patch_dim))
+    view = rows.T
+    assert not view.flags.c_contiguous
+    copy = np.ascontiguousarray(view)
+    assert (patches.overlap_add_matrix(view, g).tobytes()
+            == patches.overlap_add_matrix(copy, g).tobytes())
