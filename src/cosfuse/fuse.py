@@ -28,7 +28,10 @@ import numpy as np
 
 from .learn import (PIXEL_SCALE, TrainConfig, _admm_counters, _check_setting,
                     cosparse_code_many)
-from .linalg import spectral_norm_sq  # unused; bench/tracing.py wraps this attribute
+from .linalg import (
+    matrix_text,
+    spectral_norm_sq,  # unused; bench/tracing.py wraps this attribute
+)
 from .patches import build_grid, extract_matrix, overlap_add_matrix
 
 __all__ = [
@@ -50,7 +53,6 @@ class FusionConfig:
     lambda_local: float = 0.05
     patch_size: int = 7
     overlap: int = 1
-    mu: float = TrainConfig.mu
     admm_tol: float = TrainConfig.admm_tol
     max_admm_iters: int = TrainConfig.max_admm_iters
 
@@ -66,7 +68,6 @@ class FusionConfig:
     def _coding_config(self):
         return TrainConfig(
             lam=self.lambda_local,
-            mu=self.mu,
             max_admm_iters=self.max_admm_iters,
             admm_tol=self.admm_tol,
         )
@@ -192,25 +193,21 @@ def fuse(images, op, cfg):
     return result
 
 
-def _grid_text(values, fmt):
-    rows, cols = values.shape[0], values.shape[1]
-    flat = values.reshape(rows, -1)
-    row_format = " ".join([fmt] * flat.shape[1])
-    lines = [f"{rows} {cols}"]
-    lines.extend(row_format % tuple(row) for row in flat.tolist())
-    return "\n".join(lines) + "\n"
-
-
 def winner_map_text(result):
-    """Winner map as text: a "rows cols" header, then one line of source
-    indices per grid row."""
-    return _grid_text(result.winner_map, "%d")
+    """Winner map in the matrix text format (``linalg.matrix_text``): a
+    "rows cols" header, then one line of source indices per grid row."""
+    return matrix_text(result.winner_map)
 
 
 def activity_text(result):
     """Activity grid as text: a "rows cols" header, then one line per grid
     row with the K candidate activities of each cell in order."""
-    return _grid_text(result.activity, "%.9g")
+    rows, cols = result.activity.shape[:2]
+    flat = result.activity.reshape(rows, -1)
+    row_format = " ".join(["%.9g"] * flat.shape[1])
+    lines = [f"{rows} {cols}"]
+    lines.extend(row_format % tuple(row) for row in flat.tolist())
+    return "\n".join(lines) + "\n"
 
 
 def diagnostics_text(result):

@@ -7,9 +7,11 @@ columns):
   single signal is a one-column Y): for each column y, minimize
   ``0.5 * ||x - y||^2 + lam * ||W x||_1`` over x, where W is the current
   operator. The l1 term is split off with an auxiliary variable v = W x and
-  the problem is solved by ADMM with scaled multipliers d. The x-subproblem
-  is a strongly convex quadratic with the fixed matrix A = I + mu * W^T W,
-  inverted once per coding call. Its exact solution is the correction
+  the problem is solved by ADMM with scaled multipliers d and the penalty
+  mu = 1 (``TrainConfig.mu``, a solver constant: it moves the path, not the
+  optimum). The x-subproblem is a strongly convex quadratic with the fixed
+  matrix A = I + mu * W^T W, inverted once per coding call. Its exact
+  solution is the correction
   x = y - M (W y - v - d) with M = mu A^-1 W^T, so the iteration runs on
   W x = W y - W M (W y - v - d) alone, one h-by-h product per column, and
   x is formed only when its column retires. That is cheaper than iterating
@@ -144,10 +146,11 @@ class AnalysisOperator:
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters shared by the coding and row-update stages."""
+    """Hyperparameters shared by the coding and row-update stages. The ADMM
+    penalty ``mu`` is a solver constant, not a field."""
 
+    mu = 1.0
     lam: float = 0.1
-    mu: float = 1.0
     max_admm_iters: int = 1000
     admm_tol: float = 1e-6
     cosupport_tol: float = 1e-3
@@ -156,7 +159,6 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_setting("lam", self.lam)
-        _check_setting("mu", self.mu, positive=True)
         _check_setting("admm_tol", self.admm_tol, positive=True)
         _check_setting("cosupport_tol", self.cosupport_tol, positive=True)
         if self.max_admm_iters < 1:
@@ -287,8 +289,8 @@ def cosparse_code_many(op, Y, cfg, start=None):
     """ADMM cosparse coding of every column of Y against the operator W.
 
     Returns (X, V, D, primal residuals, iterations used). The loop iterates
-    on s = W x rather than on x. With u = v + d, the exact x-step
-    x = A^-1 (y + mu W^T u), A = I + mu W^T W, is the correction
+    on s = W x rather than on x. With u = v + d and mu = ``cfg.mu`` = 1, the
+    exact x-step x = A^-1 (y + mu W^T u), A = I + mu W^T W, is the correction
     x = y - M T with T = z - u, z = W y and M = mu A^-1 W^T, so
     W x = z - K T with K = W M. A, M, K and Z = W Y are formed once per call.
 
@@ -355,12 +357,7 @@ def cosparse_code_many(op, Y, cfg, start=None):
     iterations = np.empty(n_cols, dtype=np.int64)
     if n_cols == 0:
         return X, V, D, residual, iterations
-    with np.errstate(over="ignore", invalid="ignore"):
-        A = np.eye(m) + mu * (W.T @ W)
-    # With an overflowing mu, A^-1, M and K would still come out finite
-    # junk and code every column as x = y.
-    if not np.all(np.isfinite(A)):
-        raise NumericalFailure("cosparse coding diverged", 1)
+    A = np.eye(m) + mu * (W.T @ W)
     M = mu * (np.linalg.inv(A) @ W.T)
     K = W @ M
     tau = lam / mu

@@ -13,6 +13,7 @@ from cosfuse import cli, imageio, learn
 from cosfuse.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from cosfuse.fuse import FusionConfig
 from cosfuse.learn import AnalysisOperator, TrainConfig, init_operator
+from cosfuse.linalg import load_matrix_text
 
 
 @pytest.fixture(scope="module")
@@ -92,10 +93,12 @@ def test_train_missing_directory_exits_2(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
-def test_train_numerical_failure_exits_3(workdir, tmp_path):
+def test_train_numerical_failure_exits_3(workdir, tmp_path, monkeypatch):
+    monkeypatch.setattr(learn, "clip_box",
+                        inf_in_first_column_on_third_call(learn.clip_box))
     rc = main(["train", "--images", str(workdir["imgdir"]),
                "--out", str(tmp_path / "op.txt"), "--h", "16", "--m", "9",
-               "--patches", "50", "--sweeps", "1", "--mu", "1e308"])
+               "--patches", "50", "--sweeps", "1"])
     assert rc == EXIT_NUMERIC
     assert not (tmp_path / "op.txt").exists()
 
@@ -183,6 +186,22 @@ def test_deleted_global_options_exit_2_without_output(workdir, tmp_path, capsys,
     assert main(argv) == EXIT_INPUT
     captured = capsys.readouterr()
     assert (flag if given_as == "flag" else repr(key)) in captured.err
+    assert captured.out == ""
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("cmd", ["train", "fuse", "sweep"])
+def test_mu_config_key_exits_2_without_output(workdir, tmp_path, capsys, cmd):
+    """The ADMM penalty is a constant of the solver, not an option: a config
+    file that sets ``mu`` is bad input, and nothing is written."""
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mu = 1\n")
+    argv = _command_argv(workdir, cmd, outdir / "out.txt")
+    assert main([*argv, "--config", str(cfg)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "'mu'" in captured.err
     assert captured.out == ""
     assert list(outdir.iterdir()) == []
 
@@ -321,6 +340,25 @@ def test_fuse_writes_all_artifacts(workdir, tmp_path):
     assert len(activity[1].split()) == cols * 2  # two candidates per cell
     diag = (tmp_path / "fused_diag.txt").read_text()
     assert "local_l1_max=" in diag and "global_objective_final=" in diag
+
+
+def test_winners_file_loads_back_to_the_winner_map(workdir, tmp_path,
+                                                   monkeypatch):
+    """``_winners.txt`` is in the matrix text format: ``load_matrix_text``
+    reads a fuse's file back to that fuse's winner map."""
+    fuse_images = cli.fuse_images
+    results = []
+
+    def recorded(images, operator, cfg):
+        results.append(fuse_images(images, operator, cfg))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "fuse_images", recorded)
+    out = tmp_path / "fused.pgm"
+    assert main(_fuse_args(workdir, out, extra=["--max-admm-iters", "150"])) == EXIT_OK
+    loaded = load_matrix_text(tmp_path / "fused_winners.txt")
+    np.testing.assert_array_equal(loaded, results[0].winner_map)
+    np.testing.assert_array_equal(np.unique(loaded), [0, 1])
 
 
 def test_fuse_size_mismatch_exits_2_without_outputs(workdir, tmp_path):

@@ -332,7 +332,6 @@ _CHANGED_FIELD_VALUES = {
     "lambda_local": 0.1,
     "patch_size": 5,
     "overlap": 2,
-    "mu": 2.0,
     "admm_tol": 1e-3,
     "max_admm_iters": 5,
 }
@@ -363,7 +362,8 @@ def test_fuse_submodule_is_the_package_attribute():
 # sidecar text formats
 
 def test_sidecar_texts_golden():
-    """The exact bytes of the winner map (%d), activity (%.9g, the K values
+    """The exact bytes of the winner map (the matrix text format, whose
+    %.17g prints a source index as %d would), activity (%.9g, the K values
     of each cell in order) and diagnostics (sorted key=%.9g) sidecars."""
     result = FusionResult(
         fused=np.zeros((4, 4)),

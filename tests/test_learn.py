@@ -1,5 +1,6 @@
 """Tests for cosparse coding and operator learning."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (inf_in_first_column_on_third_call, make_cartoon,
                       make_planted_clusters, make_texture)
 from cosfuse import imageio, learn
+from cosfuse.fuse import FusionConfig
 from cosfuse.linalg import gram, soft_threshold, sym_eig_smallest
 
 
@@ -143,16 +145,6 @@ def test_code_rejects_wrong_length():
         learn.cosparse_code_many(op, np.zeros(5)[:, None], learn.TrainConfig())
 
 
-def test_code_numerical_failure_reports_iteration():
-    # mu overflows A = I + mu W^T W, whose inverse is still finite junk.
-    op = learn.init_operator(8, 6, seed=0)
-    cfg = learn.TrainConfig(lam=1.0, mu=1e308)
-    for signals in (np.ones((6, 1)), np.ones((6, 3))):
-        with pytest.raises(learn.NumericalFailure) as err:
-            learn.cosparse_code_many(op, signals, cfg)
-        assert err.value.iteration == 1
-
-
 def test_batch_coding_agrees_with_single():
     rng = np.random.default_rng(12)
     op = learn.init_operator(20, 16, seed=13)
@@ -281,22 +273,33 @@ def test_batch_empty_returns_at_once(monkeypatch):
         (16, 0), (20, 0), (20, 0), (0,), (0,)]
 
 
-@pytest.mark.parametrize("lam,mu,max_iters", [
-    (0.1, 1.0, 1000), (0.05, 2.0, 1000), (0.3, 0.5, 1000), (0.2, 1.0, 3)])
-def test_batch_dual_lies_in_its_box(lam, mu, max_iters):
-    """Every returned D lies in [-lam/mu, lam/mu], and wherever v is nonzero
-    D sits on the face opposite v's sign: the v-step's optimality condition,
-    exactly, for converged and capped columns alike."""
+def test_mu_is_a_solver_constant():
+    """The ADMM penalty is 1 and no setting: neither config has a mu field,
+    and a TrainConfig takes no mu argument."""
+    assert "mu" not in {f.name for cls in (learn.TrainConfig, FusionConfig)
+                        for f in dataclasses.fields(cls)}
+    assert learn.TrainConfig.mu == 1.0
+    assert FusionConfig()._coding_config().mu == 1.0
+    with pytest.raises(TypeError):
+        learn.TrainConfig(mu=2.0)
+
+
+@pytest.mark.parametrize("lam,max_iters", [
+    (0.1, 1000), (0.05, 1000), (0.3, 1000), (0.2, 3)])
+def test_batch_dual_lies_in_its_box(lam, max_iters):
+    """Every returned D lies in [-lam, lam] (the box [-lam/mu, lam/mu] at the
+    solver's mu = 1), and wherever v is nonzero D sits on the face opposite
+    v's sign: the v-step's optimality condition, exactly, for converged and
+    capped columns alike."""
     rng = np.random.default_rng(26)
     op = learn.init_operator(20, 16, seed=13)
-    cfg = learn.TrainConfig(lam=lam, mu=mu, max_admm_iters=max_iters)
+    cfg = learn.TrainConfig(lam=lam, max_admm_iters=max_iters)
     Y = rng.standard_normal((16, 30)) * np.geomspace(0.2, 5.0, 30)
     _, V, D, _, _ = learn.cosparse_code_many(op, Y, cfg)
-    tau = lam / mu
-    assert np.all(np.abs(D) <= tau)
+    assert np.all(np.abs(D) <= lam)
     nonzero = V != 0
     assert nonzero.any()
-    np.testing.assert_array_equal(D[nonzero], -np.sign(V[nonzero]) * tau)
+    np.testing.assert_array_equal(D[nonzero], -np.sign(V[nonzero]) * lam)
 
 
 def test_batch_column_order_does_not_matter():

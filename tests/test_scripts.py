@@ -18,16 +18,3 @@ def test_synthetic_experiment_runs(tmp_path):
     assert any(line.startswith("psnr_fused=") for line in proc.stdout.splitlines())
     assert (tmp_path / "fused.pgm").exists()
 
-
-def test_noise_sweep_runs(tmp_path):
-    out = tmp_path / "sweep.csv"
-    proc = subprocess.run(
-        [sys.executable, os.path.join(SCRIPTS, "run_noise_sweep.py"),
-         "--size", "48", "--train-patches", "200", "--train-sweeps", "1",
-         "--max-admm-iters", "100", "--out", str(out)],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = out.read_text().splitlines()
-    assert lines[0] == "n,sigma,q_mi,q_abf,psnr"
-    assert len(lines) == 26
