@@ -192,58 +192,22 @@ def init_operator(h, m, seed):
     return AnalysisOperator(M)
 
 
-def _draw_attempts(rng, highs, count):
-    """The (image, top, left) of the next ``count`` sampling attempts, a
-    count-by-3 array. ``highs`` holds a row (K, rows - n + 1, cols - n + 1)
-    per image, and ``rng`` is consumed as the scalar calls ``integers(K)``,
-    ``integers(rows - n + 1)``, ``integers(cols - n + 1)`` of each attempt
-    would consume it.
-
-    ``rng.integers(0, H)`` with an array H draws each entry as a scalar call
-    would, so a segment of attempts is one call once its images are known.
-    A peek draws the segment with image 0's spans, and the segment is drawn
-    again from the same state with the peeked images' spans. The peek stays
-    right until a wrong span consumed a different amount of the stream, as
-    ``integers(1)``, which consumes nothing, does for an image exactly n
-    pixels on a side. The redraw is exact up to its first image that differs
-    from the peek, and that image is right: on a mismatch the segment is cut
-    after it and drawn a third time.
-    """
-    draws = []
-    segment = count
-    while count:
-        size = min(segment, count)
-        state = rng.bit_generator.state
-        peek = rng.integers(0, highs[np.zeros(size, np.intp)])[:, 0]
-        rng.bit_generator.state = state
-        drawn = rng.integers(0, highs[peek])
-        wrong = np.flatnonzero(drawn[:, 0] != peek)
-        if wrong.size:
-            size = segment = int(wrong[0]) + 1
-            rng.bit_generator.state = state
-            drawn = rng.integers(0, highs[drawn[:size, 0]])
-        else:
-            segment = 2 * size
-        draws.append(drawn)
-        count -= size
-    return np.concatenate(draws)
-
-
 def sample_training_patches(images, n, count, seed):
     """``count`` random n-by-n patches of ``images`` as the columns of an
     (n*n)-by-count matrix, mean-subtracted and unit-normalized.
 
     The draw contract: the images at least n pixels on each side are kept,
-    K of them, and ``numpy.random.default_rng(seed)`` draws each attempt as
-    ``integers(K)`` for the image, then ``integers(rows - n + 1)`` for the
-    top and ``integers(cols - n + 1)`` for the left corner. The patch is
-    divided by ``PIXEL_SCALE`` and its mean subtracted; one whose l2 norm is
-    below 1e-8 is flat, carries no analyzable structure and is rejected.
-    The columns are the first ``count`` accepted patches in attempt order,
-    each divided by its norm, and the images are flat (``ValueError``) when
-    50 * count attempts do not find them. The attempts are drawn and
-    normalized in batches that reproduce this one-attempt-at-a-time rule
-    bit for bit.
+    K of them, and ``numpy.random.default_rng(seed)`` draws each batch of
+    attempts in two calls: ``image = integers(K, size=size)``, then the
+    (top, left) corners ``integers(0, highs[image])``, where ``highs`` holds
+    each kept image's (rows - n + 1, cols - n + 1). So images are drawn
+    uniformly over K, not over windows. The patch is divided by
+    ``PIXEL_SCALE`` and its mean subtracted; one whose l2 norm is below 1e-8
+    is flat and rejected. The columns are the first ``count`` accepted
+    patches in attempt order, each divided by its norm, and the images are
+    flat (``ValueError``) when 50 * count attempts do not find them. For one
+    image, ``integers(1, ...)`` consumes none of the stream, so the sample
+    equals drawing ``integers(1)``, the top and the left per attempt.
     """
     if count < 0:
         raise ValueError(f"patch count must be nonnegative, got {count}")
@@ -254,19 +218,19 @@ def sample_training_patches(images, n, count, seed):
         raise ValueError(f"no training image is at least {n}x{n} pixels")
     views = [np.lib.stride_tricks.sliding_window_view(img, (n, n))
              for img in usable]
-    highs = np.array([(len(views), *view.shape[:2]) for view in views])
+    highs = np.array([view.shape[:2] for view in views])
     rng = np.random.default_rng(seed)
-    max_attempts = 50 * count
     found = attempts = 0
     while found < count:
-        if attempts == max_attempts:
+        if attempts == 50 * count:
             raise ValueError("training images are flat; cannot sample patches")
         # As many attempts as the share of flat patches seen so far says are
         # still needed, at most count at a time. Attempts drawn past the
         # last patch needed are discarded: the generator is private.
         size = -(-(count - found) * attempts // found) if found else count
-        size = min(size, count, max_attempts - attempts)
-        image, top, left = _draw_attempts(rng, highs, size).T
+        size = min(size, count, 50 * count - attempts)
+        image = rng.integers(len(views), size=size)
+        top, left = rng.integers(0, highs[image]).T
         attempts += size
         P = np.empty((size, m))
         for k, view in enumerate(views):

