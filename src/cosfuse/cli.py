@@ -4,7 +4,8 @@ Subcommands: train, fuse, synth, eval, sweep. Every command is deterministic
 given identical flags, files, and seed. The options of train, fuse and sweep
 are the fields of ``TrainConfig``/``FusionConfig``, with each field's type
 and default, plus a few command-only keys (such as ``h``, ``sigma``,
-``seed``); fuse spells ``patch_size`` and ``overlap`` as ``n`` and ``p``.
+``seed``); fuse spells ``overlap`` as ``p``, and takes the patch side from
+the operator: n is the square root of its signal dimension m.
 synth and sweep share the multi-focus pair options ``sigma_b`` and ``split``.
 Each option is a ``--key`` flag and a ``key = value`` line of the file given
 by ``--config`` ('#' starts a comment); precedence is defaults, then config
@@ -31,7 +32,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import math
 import os
 import sys
 import tempfile
@@ -43,6 +43,7 @@ from .fuse import (FusionConfig, activity_text, diagnostics_text,
                    fuse as fuse_images, winner_map_text)
 from .learn import (AnalysisOperator, NumericalFailure, TrainConfig,
                     _check_setting, sample_training_patches, train)
+from .patches import patch_side
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -161,7 +162,7 @@ def _validate_threads(threads):
 
 _TRAIN_OPTIONS = {
     **_options(TrainConfig),
-    "h": 64, "m": FusionConfig.patch_size ** 2, "patches": 10_000, "threads": 1,
+    "h": 64, "m": 49, "patches": 10_000, "threads": 1,
 }
 # Rows per signal dimension of the operators that sweep trains: train's h/m.
 OPERATOR_REDUNDANCY = _TRAIN_OPTIONS["h"] / _TRAIN_OPTIONS["m"]
@@ -170,12 +171,7 @@ OPERATOR_REDUNDANCY = _TRAIN_OPTIONS["h"] / _TRAIN_OPTIONS["m"]
 def cmd_train(ns):
     cfgv = _merge_config(_TRAIN_OPTIONS, ns)
     _validate_threads(cfgv["threads"])
-    m = cfgv["m"]
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
-    n = math.isqrt(m)
-    if n * n != m:
-        raise ValueError(f"m must be a perfect square (n*n), got {m}")
+    n = patch_side(cfgv["m"])
     paths = sorted(
         os.path.join(ns.images, f) for f in os.listdir(ns.images)
         if f.lower().endswith(".pgm")
@@ -207,7 +203,7 @@ def cmd_train(ns):
 # ---------------------------------------------------------------------------
 # fuse
 
-_FUSE_RENAMES = {"patch_size": "n", "overlap": "p"}
+_FUSE_RENAMES = {"overlap": "p"}
 _FUSE_OPTIONS = {
     **_options(FusionConfig, **_FUSE_RENAMES),
     "sigma": 0.0, "seed": 0, "threads": 1,
@@ -305,10 +301,10 @@ def cmd_eval(ns):
 # sweep
 
 # sweep takes TrainConfig's sweeps as train_sweeps, with a default of its
-# own, leaves cosupport_tol at its default and sets patch_size and overlap
-# per cell.
+# own, leaves cosupport_tol at its default and sets the overlap per cell;
+# each cell's patch side is that of the operator it trains.
 _SWEEP_TRAIN = {"cosupport_tol": None, "sweeps": "train_sweeps"}
-_SWEEP_FUSE = {"patch_size": None, "overlap": None}
+_SWEEP_FUSE = {"overlap": None}
 _SWEEP_OPTIONS = {
     **_options(TrainConfig, **_SWEEP_TRAIN),
     **_options(FusionConfig, **_SWEEP_FUSE),
@@ -339,7 +335,7 @@ def cmd_sweep(ns):
             # value applies at sigma = 15; the noise-free runs need no
             # shrinkage).
             fcfg = dataclasses.replace(
-                base, patch_size=n, overlap=1,
+                base, overlap=1,
                 lambda_local=base.lambda_local * (sigma / 15.0),
             )
             result = fuse_images([a, b], operator, fcfg)

@@ -32,7 +32,7 @@ from .linalg import (
     matrix_text,
     spectral_norm_sq,  # unused; bench/tracing.py wraps this attribute
 )
-from .patches import build_grid, extract_matrix, overlap_add_matrix
+from .patches import build_grid, extract_matrix, overlap_add_matrix, patch_side
 
 __all__ = [
     "FusionConfig",
@@ -47,11 +47,11 @@ __all__ = [
 
 @dataclass
 class FusionConfig:
-    """Hyperparameters of the fusion pipeline. The coding solver's settings
-    default to, and are checked by, ``TrainConfig``."""
+    """Hyperparameters of the fusion pipeline. The patch side is not one:
+    it is that of the operator's patches, sqrt(m). The coding solver's
+    settings default to, and are checked by, ``TrainConfig``."""
 
     lambda_local: float = 0.05
-    patch_size: int = 7
     overlap: int = 1
     admm_tol: float = TrainConfig.admm_tol
     max_admm_iters: int = TrainConfig.max_admm_iters
@@ -59,11 +59,6 @@ class FusionConfig:
     def __post_init__(self):
         _check_setting("lambda_local", self.lambda_local)
         self._coding_config()  # checks the solver settings
-        if not 0 <= self.overlap < self.patch_size:
-            raise ValueError(
-                f"overlap must satisfy 0 <= p < n, got p={self.overlap}, "
-                f"n={self.patch_size}"
-            )
 
     def _coding_config(self):
         return TrainConfig(
@@ -117,6 +112,10 @@ def _check_images(images):
 def local_fuse(op, images, cfg):
     """Select and denoise the winner patch per grid cell.
 
+    The patches are n by n with n = sqrt(op.m), the side the operator was
+    trained on; an operator whose m is not n*n, or an overlap outside
+    0 <= p < n, is a ValueError.
+
     Each input in turn is extracted, ranked and dropped, its patches kept
     only in the cells it leads so far. The winners are then centred in place
     and coded; the coder's X gets the means back in place and is
@@ -128,13 +127,8 @@ def local_fuse(op, images, cfg):
     local-stage diagnostics.
     """
     arrays = _check_images(images)
-    if op.m != cfg.patch_size ** 2:
-        raise ValueError(
-            f"operator signal dimension {op.m} does not match patch size "
-            f"{cfg.patch_size}x{cfg.patch_size}"
-        )
     rows, cols = arrays[0].shape
-    grid = build_grid(cols, rows, cfg.patch_size, cfg.overlap)
+    grid = build_grid(cols, rows, patch_side(op.m), cfg.overlap)
     W = op.matrix
     n_cells = grid.cell_count
 

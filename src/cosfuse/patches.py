@@ -13,11 +13,13 @@ every patch contribution per pixel, so ``extract_matrix`` followed by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PatchGrid", "build_grid", "extract_matrix", "overlap_add_matrix"]
+__all__ = ["PatchGrid", "patch_side", "build_grid", "extract_matrix",
+           "overlap_add_matrix"]
 
 
 @dataclass(frozen=True)
@@ -25,8 +27,6 @@ class PatchGrid:
     """Geometry of a sliding-window decomposition of one image."""
 
     patch_size: int
-    overlap: int
-    stride: int
     grid_rows: int
     grid_cols: int
     row_offsets: tuple
@@ -41,6 +41,16 @@ class PatchGrid:
     @property
     def patch_dim(self):
         return self.patch_size * self.patch_size
+
+
+def patch_side(m):
+    """The side n of the n-by-n patches that an operator with signal
+    dimension ``m`` analyzes. ``m`` must be n*n for some n >= 1."""
+    n = math.isqrt(max(m, 0))
+    if n < 1 or n * n != m:
+        raise ValueError(
+            f"signal dimension m={m} is not n*n for a patch side n >= 1")
+    return n
 
 
 def _axis_offsets(dim, n, stride):
@@ -69,8 +79,6 @@ def build_grid(width, height, n, p):
     col_offsets = _axis_offsets(width, n, stride)
     return PatchGrid(
         patch_size=n,
-        overlap=p,
-        stride=stride,
         grid_rows=len(row_offsets),
         grid_cols=len(col_offsets),
         row_offsets=row_offsets,

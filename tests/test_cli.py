@@ -139,6 +139,7 @@ def _command_argv(workdir, cmd, out):
     ["train", "--h", "16", "--m", "9", "--patches", "10"],
     ["train", "--m", "-4"],
     ["train", "--patches", "-5"],
+    ["train", "--threads", "0"],
     # NaN fails every comparison, so it must not slip past a range check.
     ["train", "--lam", "nan"],
     ["train", "--mu", "nan"],
@@ -152,8 +153,13 @@ def _command_argv(workdir, cmd, out):
     ["fuse", "--mu", "nan"],
     ["fuse", "--sigma", "nan"],
     ["fuse", "--sigma", "inf"],
+    ["fuse", "--threads", "0"],
+    # The overlap must satisfy 0 <= p < n, n = 7 for the 64x49 operator.
+    ["fuse", "--p", "7"],
+    ["fuse", "--p", "-1"],
     ["sweep", "--lambda-global", "nan"],
     ["sweep", "--sigma-b", "inf"],
+    ["sweep", "--threads", "0"],
     # Finite as given, but the sigma/15 scaling makes it infinite at sigma 20.
     ["sweep", "--lambda-local", "1.5e308", "--train-patches", "50",
      "--train-sweeps", "1", "--max-admm-iters", "30"],
@@ -165,14 +171,16 @@ def test_bad_option_values_exit_2_without_output(workdir, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag", ["--lambda-global", "--global-rounds"],
+@pytest.mark.parametrize("flag", ["--lambda-global", "--global-rounds", "--n"],
                          ids=lambda flag: flag[2:])
 @pytest.mark.parametrize("cmd", ["fuse", "sweep"])
 @pytest.mark.parametrize("given_as", ["flag", "config"])
 def test_deleted_global_options_exit_2_without_output(workdir, tmp_path, capsys,
                                                       flag, cmd, given_as):
-    """The global pass is gone with its two options: each one, given as a
-    flag or as a config key, is bad input, and nothing is written."""
+    """The global pass is gone with its two options, and fuse's patch side
+    ``n``, which is now the operator's: each one, given as a flag or as a
+    config key, is bad input, and nothing is written. (sweep never had
+    ``n``; it rejects it as it does any unknown option.)"""
     outdir = tmp_path / "out"
     outdir.mkdir()
     argv = _command_argv(workdir, cmd, outdir / "out.txt")
@@ -466,6 +474,20 @@ def test_operator_error_names_the_file_once(workdir, tmp_path, capsys, text):
     assert capsys.readouterr().err.count(str(op)) == 1
 
 
+def test_fuse_rejects_a_non_square_operator(workdir, tmp_path, capsys):
+    """The patch side is sqrt(m): an operator whose m is not a square is bad
+    input, and nothing is written."""
+    op = tmp_path / "op.txt"
+    op.write_text(init_operator(16, 10, 0).to_text())
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    argv = _fuse_args(workdir, outdir / "fused.pgm")
+    argv[argv.index("--op") + 1] = str(op)
+    assert main(argv) == EXIT_INPUT
+    assert "m=10" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -500,9 +522,9 @@ def test_bad_flag_exits_2():
 
 # Option keys that differ from their config field, and the fields that a
 # command sets itself (sweep: per cell, or left at the field default).
-_KEY_OF_FIELD = {"fuse": {"patch_size": "n", "overlap": "p"},
+_KEY_OF_FIELD = {"fuse": {"overlap": "p"},
                  "sweep": {"sweeps": "train_sweeps"}}
-_NOT_OPTIONS = {"sweep": {"cosupport_tol", "patch_size", "overlap"}}
+_NOT_OPTIONS = {"sweep": {"cosupport_tol", "overlap"}}
 _CONFIGS_OF = {"train": (TrainConfig,), "fuse": (FusionConfig,),
                "sweep": (TrainConfig, FusionConfig)}
 

@@ -160,7 +160,17 @@ def test_local_fuse_rejects_bad_inputs(trained_operator, texture_128):
     with pytest.raises(ValueError):
         local_fuse(trained_operator, [texture_128, texture_128[:64]], cfg)
     with pytest.raises(ValueError):
-        local_fuse(trained_operator, [texture_128], FusionConfig(patch_size=8))
+        local_fuse(trained_operator, [texture_128], FusionConfig(overlap=7))
+    # The patch side is sqrt(m), so m must be a square.
+    with pytest.raises(ValueError, match="m=10"):
+        local_fuse(learn.init_operator(16, 10, 0), [texture_128], cfg)
+
+
+def test_default_config_fuses_on_the_operators_patch_side(texture_128):
+    image = texture_128[:32, :32]
+    result = fuse([image, image], learn.init_operator(33, 25, 11), FusionConfig())
+    grid = build_grid(32, 32, 5, FusionConfig().overlap)
+    assert result.winner_map.shape == (grid.grid_rows, grid.grid_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +329,7 @@ def test_fuse_paper_protocol_runs_to_completion(trained_operator):
     # 7x7 patches with overlap 1, 64x49 operator, 256x256 pair
     truth = make_texture(256, 256, seed=4)
     a, b = imageio.synth_multifocus(truth, 2.0, split=128)
-    cfg = FusionConfig(patch_size=7, overlap=1, max_admm_iters=1000)
+    cfg = FusionConfig(overlap=1, max_admm_iters=1000)
     result = fuse([a, b], trained_operator, cfg)
     assert result.fused.shape == (256, 256)
     assert np.all(np.isfinite(result.fused))
@@ -330,7 +340,6 @@ def test_fuse_paper_protocol_runs_to_completion(trained_operator):
 # One changed value per FusionConfig field; each must change the fused image.
 _CHANGED_FIELD_VALUES = {
     "lambda_local": 0.1,
-    "patch_size": 5,
     "overlap": 2,
     "admm_tol": 1e-3,
     "max_admm_iters": 5,
@@ -343,12 +352,12 @@ def test_every_fusion_config_field_changes_the_output(texture_128):
     a, b = imageio.synth_multifocus(texture_128[:48, :48], 2.0, split=24)
     noisy = [imageio.add_gaussian_noise(a, 15.0, seed=1),
              imageio.add_gaussian_noise(b, 15.0, seed=2)]
-    operators = {7: learn.init_operator(64, 49, 11), 5: learn.init_operator(33, 25, 11)}
+    op = learn.init_operator(64, 49, 11)
     default = FusionConfig()
-    baseline = fuse(noisy, operators[default.patch_size], default).fused
+    baseline = fuse(noisy, op, default).fused
     for name, value in _CHANGED_FIELD_VALUES.items():
         cfg = dataclasses.replace(default, **{name: value})
-        changed = fuse(noisy, operators[cfg.patch_size], cfg).fused
+        changed = fuse(noisy, op, cfg).fused
         assert not np.array_equal(changed, baseline), name
 
 

@@ -37,6 +37,13 @@ def test_build_grid_rejects_bad_overlap():
         patches.build_grid(10, 10, n=4, p=-1)
 
 
+def test_patch_side_is_the_square_root_of_m():
+    assert [patches.patch_side(m) for m in (1, 25, 49)] == [1, 5, 7]
+    for m in (-4, 0, 10, 48):
+        with pytest.raises(ValueError, match=f"m={m}"):
+            patches.patch_side(m)
+
+
 def test_extract_constant_image():
     g = patches.build_grid(10, 8, n=3, p=1)
     P = patches.extract_matrix(np.full((8, 10), 4.5), g)
@@ -60,8 +67,8 @@ def test_extract_matches_cell_loop_on_clamped_nonsquare_image():
     g = patches.build_grid(27, 19, n=5, p=2)
     # Neither 19 - 5 nor 27 - 5 is a multiple of the stride 3, so the last
     # offset on each axis is clamped to the edge.
-    assert g.row_offsets[-1] - g.row_offsets[-2] < g.stride
-    assert g.col_offsets[-1] - g.col_offsets[-2] < g.stride
+    assert g.row_offsets[-1] - g.row_offsets[-2] < 3
+    assert g.col_offsets[-1] - g.col_offsets[-2] < 3
     expected = np.empty((g.patch_dim, g.cell_count))
     cell = 0
     for r in g.row_offsets:
@@ -152,7 +159,7 @@ def test_overlap_add_matrix_matches_loop_bit_for_bit(side, p):
     g = patches.build_grid(side, side, n=7, p=p)
     # The last window on each axis is clamped to the edge when the stride
     # does not tile the image (61 at stride 4).
-    clamped = (side - 7) % g.stride != 0
+    clamped = (side - 7) % (7 - p) != 0
     assert clamped == (side == 61)
     P = np.random.default_rng(side).standard_normal((g.patch_dim, g.cell_count))
     expected = _loop_overlap_add(P, g)
