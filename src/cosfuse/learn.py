@@ -31,10 +31,15 @@ columns):
   orthogonal to it and replace w with the unit vector minimizing the summed
   squared inner products against the corresponding training columns, i.e.
   the smallest eigenvector of the Gram matrix of that column subset
-  (``linalg.sym_eig_smallest``, LAPACK ``eigh``). ``train`` re-initializes
-  a row at random for either of two reasons: its orthogonal set is empty,
-  or its update lands on a near-copy of another row
-  (``DUPLICATE_ROW_COSINE``). Both are counted per sweep.
+  (``linalg.sym_eig_smallest``, LAPACK ``eigh``). A row's set depends only
+  on that row, which no other row's update changes, so ``train`` computes
+  every row's update in one ``update_row`` call per sweep: one product of
+  the operator with the coded signals gives all the sets, and one stacked
+  ``eigh`` solves their Gram matrices. It then writes the rows in order,
+  re-initializing a row at random for either of two reasons: its
+  orthogonal set is empty, or its update lands on a near-copy of another
+  row of the operator as it stands at that point (``DUPLICATE_ROW_COSINE``).
+  Both are counted per sweep.
 
 All randomness is derived from explicit seeds (numpy PCG64), so training is
 bit-reproducible.
@@ -413,19 +418,32 @@ def update_row(op, j, Y, X, cfg):
     coded signals X. The returned row is the unit minimizer of the summed
     squared inner products with the training columns Y restricted to J, or
     None when J is empty.
+
+    ``j`` may also be a 1-d array of row indices. Then the result is a list
+    holding, for each index, what the call with that integer returns. All
+    the sets come from one ``op.matrix[j] @ X`` product, and one
+    ``sym_eig_smallest`` call solves the stacked Gram matrices of the
+    non-empty ones; an integer ``j`` is the one-row case of the same path.
     """
-    if not 0 <= j < op.h:
-        raise ValueError(f"row index {j} out of range for h={op.h}")
+    rows = np.asarray(j)
+    if rows.ndim > 1 or rows.dtype.kind not in "iu":
+        raise ValueError(f"row index must be an integer or a 1-d integer array, got {j!r}")
+    bad = rows[(rows < 0) | (rows >= op.h)]
+    if bad.size:
+        raise ValueError(f"row index {bad[0]} out of range for h={op.h}")
     Y = np.asarray(Y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     if Y.shape[0] != op.m or X.shape != Y.shape:
         raise ValueError("Y and X must both be m-by-N with m matching the operator")
-    scores = op.matrix[j] @ X
-    J = np.flatnonzero(np.abs(scores) <= cfg.cosupport_tol)
-    if J.size == 0:
-        return None
-    _, vec = sym_eig_smallest(gram(Y[:, J]))
-    return vec
+    # Row k of ``orthogonal`` marks the columns of the k-th row's set.
+    orthogonal = np.abs(op.matrix[np.atleast_1d(rows)] @ X) <= cfg.cosupport_tol
+    full = np.flatnonzero(orthogonal.any(axis=1))
+    new = [None] * len(orthogonal)
+    if full.size:
+        _, vecs = sym_eig_smallest(np.stack([gram(Y[:, orthogonal[k]]) for k in full]))
+        for k, vec in zip(full, vecs):
+            new[k] = vec
+    return new if rows.ndim else new[0]
 
 
 def train(Y, cfg, h):
@@ -433,10 +451,11 @@ def train(Y, cfg, h):
 
     Each sweep codes every training column against the current operator,
     records the total coding objective, the mean cosupport size and the
-    coding call's ``_admm_counters``, then updates every operator row in
-    sequence. A row with an empty orthogonal set, or whose update nearly
-    copies another row, is drawn at random instead and counted. Returns the
-    final operator and the per-sweep report.
+    coding call's ``_admm_counters``, then computes every row's update in
+    one ``update_row`` call and writes the rows in order. A row with an
+    empty orthogonal set, or whose update nearly copies another row (those
+    already written this sweep included), is drawn at random instead and
+    counted. Returns the final operator and the per-sweep report.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
@@ -462,10 +481,13 @@ def train(Y, cfg, h):
             float(np.mean(np.sum(np.abs(analyzed) <= cfg.cosupport_tol, axis=0)))
         )
         reinitialized = 0
-        for j in range(h):
-            row = update_row(op, j, Y, X, cfg)
-            if (row is None or np.abs(np.delete(op.matrix, j, axis=0) @ row).max()
-                    > DUPLICATE_ROW_COSINE):
+        for j, row in enumerate(update_row(op, np.arange(h), Y, X, cfg)):
+            if row is not None:
+                # |cos| against every other row of the live operator; row
+                # j's own old value is left out.
+                cosines = np.abs(op.matrix @ row)
+                cosines[j] = 0.0
+            if row is None or cosines.max() > DUPLICATE_ROW_COSINE:
                 row = _random_unit_row(reinit_rng, m)
                 reinitialized += 1
             op.matrix[j] = row / np.linalg.norm(row)

@@ -3,8 +3,8 @@
 Matrices and vectors are plain numpy float64 arrays (row-major). The few
 routines here are exactly what the coding and row-update stages need:
 the box clip and soft thresholding, Gram products, the smallest eigenpair
-of a symmetric matrix (LAPACK ``eigh`` behind an input check), the squared
-spectral norm, and the matrix text format.
+of a symmetric matrix or of each matrix in a stack (LAPACK ``eigh`` behind
+an input check), the squared spectral norm, and the matrix text format.
 """
 
 from __future__ import annotations
@@ -66,11 +66,18 @@ def gram(M):
 
 
 def _check_symmetric(S):
-    S = _as_matrix(S, "symmetric matrix")
-    if S.shape[0] != S.shape[1]:
+    S = np.asarray(S, dtype=np.float64)
+    if S.ndim not in (2, 3) or S.size == 0:
+        raise ValueError("symmetric matrix must be a nonempty 2-d array or a "
+                         f"stack of them, got shape {S.shape}")
+    if not np.all(np.isfinite(S)):
+        raise ValueError("symmetric matrix contains non-finite entries")
+    if S.shape[-2] != S.shape[-1]:
         raise ValueError(f"matrix must be square, got shape {S.shape}")
-    scale = np.abs(S).max()
-    if scale > 0 and np.abs(S - S.T).max() > 1e-10 * scale:
+    # Each matrix against its own scale; an all-zero one is symmetric.
+    axes = (-2, -1)
+    scale = np.abs(S).max(axis=axes)
+    if np.any(np.abs(S - np.swapaxes(S, -2, -1)).max(axis=axes) > 1e-10 * scale):
         raise ValueError("matrix is not symmetric within 1e-10 relative tolerance")
     return S
 
@@ -78,13 +85,20 @@ def _check_symmetric(S):
 def sym_eig_smallest(S):
     """Smallest eigenpair of a symmetric matrix (LAPACK ``eigh``).
 
-    Returns (eigenvalue, unit eigenvector). For degenerate spectra any
-    minimizing eigenvector may be returned. Raises ``ValueError`` for a
-    non-square, non-finite or asymmetric matrix, and
-    ``numpy.linalg.LinAlgError`` if LAPACK does not converge.
+    Returns (eigenvalue, unit eigenvector). ``S`` may also be a k-by-m-by-m
+    stack of symmetric matrices; then one ``eigh`` call solves them all and
+    the result is (the k eigenvalues, a k-by-m array whose row i is matrix
+    i's eigenvector), each bit-equal to a call on that matrix alone. For
+    degenerate spectra any minimizing eigenvector may be returned. Raises
+    ``ValueError`` if any matrix is non-square, non-finite or asymmetric
+    (relative to its own largest entry), and ``numpy.linalg.LinAlgError``
+    if LAPACK does not converge.
     """
-    w, V = np.linalg.eigh(_check_symmetric(S))
-    return float(w[0]), V[:, 0]
+    S = _check_symmetric(S)
+    w, V = np.linalg.eigh(S)
+    if S.ndim == 2:
+        return float(w[0]), V[:, 0]
+    return w[:, 0], V[:, :, 0]
 
 
 def spectral_norm_sq(M):

@@ -466,9 +466,34 @@ def test_update_row_eigensolves_converge_on_training_grams(texture_128, cartoon_
 
 def test_update_row_rejects_bad_index():
     op = learn.init_operator(6, 4, seed=26)
-    with pytest.raises(ValueError):
-        learn.update_row(op, 6, np.zeros((4, 8)), np.zeros((4, 8)),
-                         learn.TrainConfig())
+    for j in (6, -1, np.array([0, 6]), np.array([-1, 2]), np.array([[0, 1]]),
+              np.array([0.0, 1.0])):
+        with pytest.raises(ValueError):
+            learn.update_row(op, j, np.zeros((4, 8)), np.zeros((4, 8)),
+                             learn.TrainConfig())
+
+
+def test_update_row_index_array_equals_integer_calls(texture_128):
+    Y = learn.sample_training_patches([texture_128], 5, 300, 0)
+    op = learn.init_operator(33, 25, 0)
+    cfg = learn.TrainConfig()
+    X, _, _, _, _ = learn.cosparse_code_many(op, Y, cfg)
+    # Move every coded column on row 4's hyperplane off it: row 4's
+    # orthogonal set is empty, every other row's is not.
+    X = X.copy()
+    X[:, np.abs(op.matrix[4] @ X) <= cfg.cosupport_tol] += op.matrix[4][:, None]
+    rows = np.array([4, 0, 32, 7, 4])
+    new = learn.update_row(op, rows, Y, X, cfg)
+    assert isinstance(new, list) and len(new) == rows.size
+    assert new[0] is None and new[4] is None
+    for j, row in zip(rows, new):
+        one = learn.update_row(op, int(j), Y, X, cfg)
+        if one is None:
+            assert row is None
+        else:
+            assert row.tobytes() == one.tobytes()
+    assert sum(row is not None for row in new) == 3
+    assert learn.update_row(op, np.arange(0), Y, X, cfg) == []
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +711,45 @@ def test_train_bit_deterministic():
     op2, rep2 = learn.train(Y, cfg, h=33)
     np.testing.assert_array_equal(op1.matrix, op2.matrix)
     assert rep1.objective_per_sweep == rep2.objective_per_sweep
+
+
+def _per_row_reference_train(Y, cfg, h):
+    """``train``'s sweeps as a loop over rows: one set, one Gram matrix and
+    one eigensolve per row, and the duplicate guard on a copy of the
+    operator without row j. Returns the operator and the rows re-initialized
+    per sweep."""
+    op = learn.init_operator(h, Y.shape[0], cfg.seed)
+    reinit_rng = np.random.default_rng((cfg.seed, 0x9E3779B9))
+    reinitialized = []
+    for _ in range(cfg.sweeps):
+        X, _, _, _, _ = learn.cosparse_code_many(op, Y, cfg)
+        count = 0
+        for j in range(h):
+            J = np.flatnonzero(np.abs(op.matrix[j] @ X) <= cfg.cosupport_tol)
+            row = sym_eig_smallest(gram(Y[:, J]))[1] if J.size else None
+            if (row is None or np.abs(np.delete(op.matrix, j, axis=0) @ row).max()
+                    > learn.DUPLICATE_ROW_COSINE):
+                row = learn._random_unit_row(reinit_rng, Y.shape[0])
+                count += 1
+            op.matrix[j] = row / np.linalg.norm(row)
+        reinitialized.append(count)
+    return op.matrix, reinitialized
+
+
+@pytest.mark.parametrize("data", ["planted", "texture"])
+def test_train_matches_per_row_reference_sweep(data, texture_128):
+    if data == "planted":
+        Y = _small_planted_problem(seed=60)
+        cfg = learn.TrainConfig(lam=0.05, sweeps=2, max_admm_iters=300, seed=61)
+    else:
+        Y = learn.sample_training_patches([texture_128], 5, 300, 0)
+        cfg = learn.TrainConfig(sweeps=2, max_admm_iters=300, seed=2)
+    op, report = learn.train(Y, cfg, h=33)
+    W, reinitialized = _per_row_reference_train(Y, cfg, 33)
+    assert op.matrix.tobytes() == W.tobytes()
+    assert report.rows_reinitialized_per_sweep == reinitialized
+    # Both kinds of row occur: accepted updates and random replacements.
+    assert sum(reinitialized) > 0 and min(reinitialized) < 33
 
 
 def test_train_rejects_too_few_signals():

@@ -169,6 +169,44 @@ def test_sym_eig_rejects_bad_input():
         linalg.sym_eig_smallest(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("m", [25, 49])
+def test_sym_eig_smallest_stack_is_bit_equal_to_per_matrix_calls(m):
+    # Singular Grams of mean-subtracted columns, as the row update makes,
+    # and full-rank ones of different scales.
+    rng = np.random.default_rng(m)
+    stack = []
+    for cols in (m // 2, m, 3 * m):
+        M = rng.standard_normal((m, cols))
+        stack.append(linalg.gram(M - M.mean(axis=0)))
+        stack.append(linalg.gram(M) * 10.0 ** rng.integers(-3, 4))
+    lams, vecs = linalg.sym_eig_smallest(np.stack(stack))
+    assert lams.shape == (len(stack),) and vecs.shape == (len(stack), m)
+    for S, lam, vec in zip(stack, lams, vecs):
+        lam_one, vec_one = linalg.sym_eig_smallest(S)
+        assert lam.tobytes() == np.float64(lam_one).tobytes()
+        assert vec.tobytes() == vec_one.tobytes()
+
+
+def test_sym_eig_smallest_stack_checks_every_matrix():
+    rng = np.random.default_rng(8)
+    good = linalg.gram(rng.standard_normal((5, 9)))
+    asymmetric = good.copy()
+    asymmetric[0, 1] += 1e-6 * np.abs(good).max()
+    non_finite = good.copy()
+    non_finite[2, 2] = np.nan
+    for bad in (asymmetric, non_finite):
+        with pytest.raises(ValueError):
+            linalg.sym_eig_smallest(np.stack([good, bad, good]))
+    # Symmetry is judged against each matrix's own scale: a small matrix's
+    # asymmetry is not hidden by a large neighbour.
+    with pytest.raises(ValueError):
+        linalg.sym_eig_smallest(np.stack([1e12 * good, asymmetric]))
+    with pytest.raises(ValueError):
+        linalg.sym_eig_smallest(np.ones((2, 3, 4)))
+    with pytest.raises(ValueError):
+        linalg.sym_eig_smallest(np.ones((0, 3, 3)))
+
+
 # ---------------------------------------------------------------------------
 # spectral_norm_sq
 
