@@ -218,7 +218,6 @@ def _derived_path(out, suffix):
 def cmd_fuse(ns):
     cfgv = _merge_config(_FUSE_OPTIONS, ns)
     _validate_threads(cfgv["threads"])
-    _check_setting("sigma", cfgv["sigma"])
     images = [imageio.load_pgm(p) for p in ns.inputs]
     shapes = {img.shape for img in images}
     if len(shapes) != 1:
@@ -228,11 +227,8 @@ def cmd_fuse(ns):
                         for p, img in zip(ns.inputs, images))
         )
     operator = AnalysisOperator.load(ns.op)
-    if cfgv["sigma"] > 0:
-        images = [
-            imageio.add_gaussian_noise(img, cfgv["sigma"], (cfgv["seed"], k))
-            for k, img in enumerate(images)
-        ]
+    images = [imageio.add_gaussian_noise(img, cfgv["sigma"], (cfgv["seed"], k))
+              for k, img in enumerate(images)]
     cfg = _make_config(FusionConfig, cfgv, **_FUSE_RENAMES)
     result = fuse_images(images, operator, cfg)
 

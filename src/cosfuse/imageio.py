@@ -157,8 +157,6 @@ def gaussian_kernel(sigma):
 
 def _convolve_axis(image, kernel, axis):
     radius = (kernel.size - 1) // 2
-    if radius == 0:
-        return image * kernel[0]
     pad = [(0, 0), (0, 0)]
     pad[axis] = (radius, radius)
     padded = np.pad(image, pad, mode="symmetric")

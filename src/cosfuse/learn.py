@@ -254,7 +254,7 @@ def sample_training_patches(images, n, count, seed):
     return Y
 
 
-def cosparse_code_many(op, Y, cfg, start=None):
+def cosparse_code_many(op, Y, cfg):
     """ADMM cosparse coding of every column of Y against the operator W.
 
     Returns (X, V, D, primal residuals, iterations used). The loop iterates
@@ -278,8 +278,8 @@ def cosparse_code_many(op, Y, cfg, start=None):
     over contiguous memory and the product is T K^T, written into a buffer
     with ``np.matmul(..., out=)``. The T and K T buffers swap roles each
     trip, and the residual's buffer holds the next trip's P; only the clip
-    allocates a new N-by-h array. A cold start's first trip has T = 0 and
-    skips the product. ``clip_box`` is given the h-by-N view P^T.
+    allocates a new N-by-h array. The first trip has T = 0 and skips the
+    product. ``clip_box`` is given the h-by-N view P^T.
 
     A column retires as soon as its primal residual ||W x - v|| drops to
     ``cfg.admm_tol``, or at ``cfg.max_admm_iters``. Its x = y - M T, v and
@@ -295,11 +295,9 @@ def cosparse_code_many(op, Y, cfg, start=None):
     positive diagonal), so its x at retirement is non-finite and raises
     ``NumericalFailure``.
 
-    The iteration starts cold, from V = W Y and D = 0 (T = 0, C = 0),
-    unless ``start`` gives an initial (V, D): two finite h-by-N arrays, such
-    as the V and D a previous call returned for nearby signals; then
-    T = Z - V - D and C = -D. From a cold start at lam = 0 the first trip has
-    T = 0, so x = y exactly. An empty Y returns empty results at once.
+    The iteration starts from V = W Y and D = 0 (T = 0, C = 0), so at
+    lam = 0 the first trip gives x = y exactly. An empty Y returns empty
+    results at once.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
@@ -312,13 +310,6 @@ def cosparse_code_many(op, Y, cfg, start=None):
     if Y.shape[0] != m:
         raise ValueError(f"signals have dimension {Y.shape[0]}, operator expects {m}")
     n_cols = Y.shape[1]
-    if start is not None:
-        Vs, Ds = (np.asarray(a, dtype=np.float64) for a in start)
-        if Vs.shape != (h, n_cols) or Ds.shape != (h, n_cols):
-            raise ValueError(f"start must be two {h}x{n_cols} arrays, got "
-                             f"{Vs.shape} and {Ds.shape}")
-        if not (np.all(np.isfinite(Vs)) and np.all(np.isfinite(Ds))):
-            raise ValueError("start contains non-finite entries")
     X = np.empty((n_cols, m)).T
     V = np.empty((n_cols, h)).T
     D = np.empty((n_cols, h)).T
@@ -339,18 +330,12 @@ def cosparse_code_many(op, Y, cfg, start=None):
     live = np.ones(n_cols, bool)
     n_live = n_cols
     Za = Y.T @ W.T
-    if start is None:
-        T, C, KT = (np.zeros(Za.shape) for _ in range(3))
-    else:
-        T = np.subtract(Za, Vs.T, out=np.empty_like(Za))
-        T -= Ds.T
-        C = np.negative(Ds.T, out=np.empty_like(Za))
-        KT = np.empty_like(Za)
+    T, C, KT = (np.zeros(Za.shape) for _ in range(3))
     P = np.empty_like(Za)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, max_admm_iters + 1):
-            # A cold start's first T is 0, and so is K T.
-            if t > 1 or start is not None:
+            # The first T is 0, and so is K T.
+            if t > 1:
                 np.matmul(T, K.T, out=KT)  # z - W x
             np.subtract(Za, KT, out=P)
             P += C  # W x - d
@@ -440,7 +425,10 @@ def update_row(op, j, Y, X, cfg):
     full = np.flatnonzero(orthogonal.any(axis=1))
     new = [None] * len(orthogonal)
     if full.size:
-        _, vecs = sym_eig_smallest(np.stack([gram(Y[:, orthogonal[k]]) for k in full]))
+        grams = np.empty((full.size, op.m, op.m))
+        for g, k in zip(grams, full):
+            g[...] = gram(Y[:, orthogonal[k]])
+        _, vecs = sym_eig_smallest(grams)
         for k, vec in zip(full, vecs):
             new[k] = vec
     return new if rows.ndim else new[0]

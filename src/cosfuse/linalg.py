@@ -88,17 +88,17 @@ def sym_eig_smallest(S):
     Returns (eigenvalue, unit eigenvector). ``S`` may also be a k-by-m-by-m
     stack of symmetric matrices; then one ``eigh`` call solves them all and
     the result is (the k eigenvalues, a k-by-m array whose row i is matrix
-    i's eigenvector), each bit-equal to a call on that matrix alone. For
-    degenerate spectra any minimizing eigenvector may be returned. Raises
-    ``ValueError`` if any matrix is non-square, non-finite or asymmetric
-    (relative to its own largest entry), and ``numpy.linalg.LinAlgError``
-    if LAPACK does not converge.
+    i's eigenvector, in its own memory), each bit-equal to a call on that
+    matrix alone. For degenerate spectra any minimizing eigenvector may be
+    returned. Raises ``ValueError`` if any matrix is non-square, non-finite
+    or asymmetric (relative to its own largest entry), and
+    ``numpy.linalg.LinAlgError`` if LAPACK does not converge.
     """
     S = _check_symmetric(S)
     w, V = np.linalg.eigh(S)
     if S.ndim == 2:
         return float(w[0]), V[:, 0]
-    return w[:, 0], V[:, :, 0]
+    return w[:, 0], V[:, :, 0].copy()  # a view would pin all of V
 
 
 def spectral_norm_sq(M):

@@ -193,41 +193,6 @@ def test_batch_iteration_counts_match_single_column_solves():
         np.testing.assert_allclose(X[:, i], x[:, 0], atol=1e-10)
 
 
-def test_warm_start_from_converged_state_retires_at_once():
-    """Coding again from a converged call's own (V, D) retires every column
-    within 2 iterations, at the cold result's objective."""
-    rng = np.random.default_rng(24)
-    op = learn.init_operator(20, 16, seed=13)
-    cfg = learn.TrainConfig(lam=0.1)
-    # At this scale no column stops on its first iterations. A column whose
-    # every |W y| exceeds lam/mu can, with a zero primal residual but off
-    # the optimum, and a warm restart then lowers its objective.
-    Y = 0.5 * rng.standard_normal((16, 12))
-    X, V, D, resid, iters = learn.cosparse_code_many(op, Y, cfg)
-    assert iters.min() > 2
-    Xw, _, _, resid_w, iters_w = learn.cosparse_code_many(op, Y, cfg,
-                                                          start=(V, D))
-    assert iters_w.max() <= 2
-    assert np.all(resid_w <= cfg.admm_tol)
-    for i in range(Y.shape[1]):
-        cold = _objective(op.matrix, X[:, i], Y[:, i], cfg.lam)
-        warm = _objective(op.matrix, Xw[:, i], Y[:, i], cfg.lam)
-        assert warm == pytest.approx(cold, rel=1e-5)
-
-
-@pytest.mark.parametrize("bad", ["shape", "nan", "inf"])
-def test_warm_start_rejects_bad_start(bad):
-    op = learn.init_operator(20, 16, seed=13)
-    Y = np.random.default_rng(25).standard_normal((16, 4))
-    V, D = np.zeros((20, 4)), np.zeros((20, 4))
-    if bad == "shape":
-        D = np.zeros((20, 3))
-    else:
-        V[3, 1] = np.nan if bad == "nan" else np.inf
-    with pytest.raises(ValueError, match="start"):
-        learn.cosparse_code_many(op, Y, learn.TrainConfig(), start=(V, D))
-
-
 def test_batch_nan_residual_retires_column(monkeypatch):
     """A NaN residual retires its column, as a residual within tolerance
     does; the other columns are coded as without it."""
@@ -356,13 +321,12 @@ def test_batch_divergence_after_compaction_reports_its_iteration(monkeypatch):
     assert err.value.iteration == injected[0] + 1 == len(calls)
 
 
-def test_warm_start_over_compactions_matches_single_column_solves(monkeypatch):
-    """Started from another lam's (V, D), a batch that compacts at least
-    twice gives every column the iterations and x it gets coded alone."""
+def test_batch_over_compactions_matches_single_column_solves(monkeypatch):
+    """A batch that compacts at least twice gives every column the
+    iterations and x it gets coded alone."""
     rng = np.random.default_rng(30)
     op = learn.init_operator(20, 16, seed=13)
     Y = rng.standard_normal((16, 40)) * np.geomspace(0.2, 5.0, 40)
-    _, V0, D0, _, _ = learn.cosparse_code_many(op, Y, learn.TrainConfig(lam=0.2))
     cfg = learn.TrainConfig(lam=0.1)
 
     clip_box = learn.clip_box
@@ -373,13 +337,12 @@ def test_warm_start_over_compactions_matches_single_column_solves(monkeypatch):
         return clip_box(v, tau)
 
     monkeypatch.setattr(learn, "clip_box", recording)
-    X, _, _, _, iters = learn.cosparse_code_many(op, Y, cfg, start=(V0, D0))
+    X, _, _, _, iters = learn.cosparse_code_many(op, Y, cfg)
     monkeypatch.setattr(learn, "clip_box", clip_box)
     assert len(widths) >= 3  # the full batch and at least two compactions
     assert len(np.unique(iters)) >= 4
     for i in range(Y.shape[1]):
-        x, _, _, _, it = learn.cosparse_code_many(
-            op, Y[:, [i]], cfg, start=(V0[:, [i]], D0[:, [i]]))
+        x, _, _, _, it = learn.cosparse_code_many(op, Y[:, [i]], cfg)
         assert iters[i] == it[0]
         np.testing.assert_allclose(X[:, i], x[:, 0], rtol=0, atol=1e-12)
 
@@ -750,6 +713,28 @@ def test_train_matches_per_row_reference_sweep(data, texture_128):
     assert report.rows_reinitialized_per_sweep == reinitialized
     # Both kinds of row occur: accepted updates and random replacements.
     assert sum(reinitialized) > 0 and min(reinitialized) < 33
+
+
+# One changed value per TrainConfig field; each must change the operator.
+_CHANGED_TRAIN_FIELD_VALUES = {
+    "lam": 0.05,
+    "max_admm_iters": 5,
+    "admm_tol": 1e-2,
+    "cosupport_tol": 1e-2,
+    "sweeps": 3,
+    "seed": 1,
+}
+
+
+def test_every_train_config_field_changes_the_operator(texture_128):
+    assert (sorted(_CHANGED_TRAIN_FIELD_VALUES)
+            == sorted(f.name for f in dataclasses.fields(learn.TrainConfig)))
+    Y = learn.sample_training_patches([texture_128[:64, :64]], 5, 300, 0)
+    default = learn.TrainConfig(sweeps=2)
+    baseline = learn.train(Y, default, h=33)[0].matrix.tobytes()
+    for name, value in _CHANGED_TRAIN_FIELD_VALUES.items():
+        cfg = dataclasses.replace(default, **{name: value})
+        assert learn.train(Y, cfg, h=33)[0].matrix.tobytes() != baseline, name
 
 
 def test_train_rejects_too_few_signals():

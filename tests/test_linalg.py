@@ -187,6 +187,16 @@ def test_sym_eig_smallest_stack_is_bit_equal_to_per_matrix_calls(m):
         assert vec.tobytes() == vec_one.tobytes()
 
 
+def test_sym_eig_smallest_stack_vectors_own_their_memory():
+    """The stacked eigenvectors are a k-by-m copy, not a view that keeps
+    LAPACK's k-by-m-by-m output alive."""
+    rng = np.random.default_rng(9)
+    stack = np.stack([linalg.gram(rng.standard_normal((6, 10))) for _ in range(4)])
+    _, vecs = linalg.sym_eig_smallest(stack)
+    assert vecs.base is None and vecs.flags.owndata
+    assert vecs.shape == (4, 6)
+
+
 def test_sym_eig_smallest_stack_checks_every_matrix():
     rng = np.random.default_rng(8)
     good = linalg.gram(rng.standard_normal((5, 9)))
