@@ -297,9 +297,9 @@ def cmd_eval(ns):
 # sweep
 
 # sweep takes TrainConfig's sweeps as train_sweeps, with a default of its
-# own, leaves cosupport_tol at its default and sets the overlap per cell;
-# each cell's patch side is that of the operator it trains.
-_SWEEP_TRAIN = {"cosupport_tol": None, "sweeps": "train_sweeps"}
+# own, and sets the overlap per cell; each cell's patch side is that of the
+# operator it trains.
+_SWEEP_TRAIN = {"sweeps": "train_sweeps"}
 _SWEEP_FUSE = {"overlap": None}
 _SWEEP_OPTIONS = {
     **_options(TrainConfig, **_SWEEP_TRAIN),

@@ -152,20 +152,20 @@ class AnalysisOperator:
 @dataclass
 class TrainConfig:
     """Hyperparameters shared by the coding and row-update stages. The ADMM
-    penalty ``mu`` is a solver constant, not a field."""
+    penalty ``mu`` and the cosupport tolerance ``cosupport_tol`` are solver
+    constants, not fields."""
 
     mu = 1.0
+    cosupport_tol = 1e-3
     lam: float = 0.1
     max_admm_iters: int = 1000
     admm_tol: float = 1e-6
-    cosupport_tol: float = 1e-3
     sweeps: int = 20
     seed: int = 0
 
     def __post_init__(self):
         _check_setting("lam", self.lam)
         _check_setting("admm_tol", self.admm_tol, positive=True)
-        _check_setting("cosupport_tol", self.cosupport_tol, positive=True)
         if self.max_admm_iters < 1:
             raise ValueError("max_admm_iters must be at least 1")
         if self.sweeps < 1:
@@ -399,10 +399,10 @@ def _random_unit_row(rng, m):
 def update_row(op, j, Y, X, cfg):
     """New value for operator row ``j`` given training data and coded signals.
 
-    The orthogonal column set J is taken from the current row against the
-    coded signals X. The returned row is the unit minimizer of the summed
-    squared inner products with the training columns Y restricted to J, or
-    None when J is empty.
+    The orthogonal column set J holds the columns x of the coded signals X
+    with |row . x| <= ``cfg.cosupport_tol`` (1e-3) for the current row. The
+    returned row is the unit minimizer of the summed squared inner products
+    with the training columns Y restricted to J, or None when J is empty.
 
     ``j`` may also be a 1-d array of row indices. Then the result is a list
     holding, for each index, what the call with that integer returns. All

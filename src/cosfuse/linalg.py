@@ -122,11 +122,7 @@ def load_matrix_text(path):
     skipped."""
     with open(path, "r", encoding="ascii") as fh:
         raw = fh.read().splitlines()
-    body = []
-    for line in raw:
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            body.append(stripped)
+    body = [s for s in map(str.strip, raw) if s and not s.startswith("#")]
     if not body:
         raise MatrixFormatError(f"{path}: no dimension line found")
     dims = body[0].split()
@@ -144,7 +140,7 @@ def load_matrix_text(path):
             f"{path}: expected {rows * cols} values, found {len(values)}"
         )
     try:
-        M = np.array([float(x) for x in values], dtype=np.float64).reshape(rows, cols)
+        M = np.array(values, dtype=np.float64).reshape(rows, cols)
     except ValueError as exc:
         raise MatrixFormatError(f"{path}: non-numeric matrix entry") from exc
     if not np.all(np.isfinite(M)):

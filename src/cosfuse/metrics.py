@@ -181,6 +181,6 @@ def metric_report_lines(values):
     """Format metric values as the standard key=value report lines."""
     lines = []
     for key in ("q_mi", "q_abf", "psnr_db", "mse"):
-        if key in values and values[key] is not None:
+        if key in values:
             lines.append(f"{key}={values[key]:.12g}")
     return lines

@@ -144,10 +144,10 @@ def _command_argv(workdir, cmd, out):
     ["train", "--lam", "nan"],
     ["train", "--mu", "nan"],
     ["train", "--admm-tol", "nan"],
-    ["train", "--cosupport-tol", "nan"],
     ["train", "--lam", "inf"],
     ["fuse", "--lambda-local", "nan"],
     # A deleted option is bad input too: argparse rejects the unknown flag.
+    ["train", "--cosupport-tol", "nan"],
     ["fuse", "--lambda-global", "nan"],
     ["fuse", "--admm-tol", "nan"],
     ["fuse", "--mu", "nan"],
@@ -198,18 +198,21 @@ def test_deleted_global_options_exit_2_without_output(workdir, tmp_path, capsys,
     assert list(outdir.iterdir()) == []
 
 
-@pytest.mark.parametrize("cmd", ["train", "fuse", "sweep"])
-def test_mu_config_key_exits_2_without_output(workdir, tmp_path, capsys, cmd):
-    """The ADMM penalty is a constant of the solver, not an option: a config
-    file that sets ``mu`` is bad input, and nothing is written."""
+@pytest.mark.parametrize("cmd,key", [
+    pytest.param(cmd, key, id=cmd if key == "mu" else f"{cmd}-{key}")
+    for key in ("mu", "cosupport_tol") for cmd in ("train", "fuse", "sweep")])
+def test_mu_config_key_exits_2_without_output(workdir, tmp_path, capsys, cmd, key):
+    """The ADMM penalty and the cosupport tolerance are constants of the
+    solver, not options: a config file that sets ``mu`` or ``cosupport_tol``
+    is bad input, and nothing is written."""
     outdir = tmp_path / "out"
     outdir.mkdir()
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("mu = 1\n")
+    cfg.write_text(f"{key} = 1\n")
     argv = _command_argv(workdir, cmd, outdir / "out.txt")
     assert main([*argv, "--config", str(cfg)]) == EXIT_INPUT
     captured = capsys.readouterr()
-    assert "'mu'" in captured.err
+    assert repr(key) in captured.err
     assert captured.out == ""
     assert list(outdir.iterdir()) == []
 
@@ -524,7 +527,7 @@ def test_bad_flag_exits_2():
 # command sets itself (sweep: per cell, or left at the field default).
 _KEY_OF_FIELD = {"fuse": {"overlap": "p"},
                  "sweep": {"sweeps": "train_sweeps"}}
-_NOT_OPTIONS = {"sweep": {"cosupport_tol", "overlap"}}
+_NOT_OPTIONS = {"sweep": {"overlap"}}
 _CONFIGS_OF = {"train": (TrainConfig,), "fuse": (FusionConfig,),
                "sweep": (TrainConfig, FusionConfig)}
 

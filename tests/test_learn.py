@@ -238,14 +238,19 @@ def test_batch_empty_returns_at_once(monkeypatch):
 
 
 def test_mu_is_a_solver_constant():
-    """The ADMM penalty is 1 and no setting: neither config has a mu field,
-    and a TrainConfig takes no mu argument."""
-    assert "mu" not in {f.name for cls in (learn.TrainConfig, FusionConfig)
-                        for f in dataclasses.fields(cls)}
+    """The ADMM penalty is 1 and the cosupport tolerance 1e-3, and neither is
+    a setting: neither config has a mu or cosupport_tol field, and a
+    TrainConfig takes neither as an argument."""
+    fields = {f.name for cls in (learn.TrainConfig, FusionConfig)
+              for f in dataclasses.fields(cls)}
+    assert not fields & {"mu", "cosupport_tol"}
     assert learn.TrainConfig.mu == 1.0
     assert FusionConfig()._coding_config().mu == 1.0
+    assert learn.TrainConfig.cosupport_tol == 1e-3
     with pytest.raises(TypeError):
         learn.TrainConfig(mu=2.0)
+    with pytest.raises(TypeError):
+        learn.TrainConfig(cosupport_tol=1e-2)
 
 
 @pytest.mark.parametrize("lam,max_iters", [
@@ -387,11 +392,12 @@ def test_update_row_beats_random_search():
     assert best <= random_best + 1e-10
 
 
-def test_update_row_improves_on_previous_row():
+def test_update_row_improves_on_previous_row(monkeypatch):
+    monkeypatch.setattr(learn.TrainConfig, "cosupport_tol", 0.5)
     rng = np.random.default_rng(23)
     op = learn.init_operator(16, 12, seed=24)
     Y = rng.standard_normal((12, 40))
-    cfg = learn.TrainConfig(cosupport_tol=0.5)
+    cfg = learn.TrainConfig()
     X = rng.standard_normal((12, 40)) * 0.3
     j = 5
     scores = op.matrix[j] @ X
@@ -405,7 +411,7 @@ def test_update_row_empty_set_returns_none():
     op = learn.init_operator(6, 4, seed=25)
     Y = np.ones((4, 8))
     X = np.ones((4, 8)) * 100  # no scores near zero
-    assert learn.update_row(op, 2, Y, X, learn.TrainConfig(cosupport_tol=1e-12)) is None
+    assert learn.update_row(op, 2, Y, X, learn.TrainConfig()) is None
 
 
 def test_update_row_eigensolves_converge_on_training_grams(texture_128, cartoon_128):
@@ -641,12 +647,12 @@ def test_train_single_sweep_control_flow():
         learn.TrainConfig(sweeps=0)
 
 
-def test_train_counts_empty_set_reinitialisations():
+def test_train_counts_empty_set_reinitialisations(monkeypatch):
     # No coded column is within 1e-300 of any row's hyperplane, so every
     # row's orthogonal set is empty and train re-initialises all 33.
+    monkeypatch.setattr(learn.TrainConfig, "cosupport_tol", 1e-300)
     Y = _small_planted_problem()
-    cfg = learn.TrainConfig(lam=0.05, sweeps=1, max_admm_iters=100, seed=41,
-                            cosupport_tol=1e-300)
+    cfg = learn.TrainConfig(lam=0.05, sweeps=1, max_admm_iters=100, seed=41)
     op, report = learn.train(Y, cfg, h=33)
     assert report.rows_reinitialized_per_sweep == [33]
     np.testing.assert_allclose(np.linalg.norm(op.matrix, axis=1), 1.0, atol=1e-12)
@@ -720,7 +726,6 @@ _CHANGED_TRAIN_FIELD_VALUES = {
     "lam": 0.05,
     "max_admm_iters": 5,
     "admm_tol": 1e-2,
-    "cosupport_tol": 1e-2,
     "sweeps": 3,
     "seed": 1,
 }
