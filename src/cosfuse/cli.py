@@ -6,7 +6,8 @@ are the fields of ``TrainConfig``/``FusionConfig``, with each field's type
 and default, plus a few command-only keys (such as ``h``, ``sigma``,
 ``seed``); fuse spells ``overlap`` as ``p``, and takes the patch side from
 the operator: n is the square root of its signal dimension m.
-synth and sweep share the multi-focus pair options ``sigma_b`` and ``split``.
+synth and sweep share one multi-focus pair option, ``sigma_b``; the pair
+splits at the middle column.
 Each option is a ``--key`` flag and a ``key = value`` line of the file given
 by ``--config`` ('#' starts a comment); precedence is defaults, then config
 file, then command-line flags. Unknown config keys are rejected before any
@@ -135,7 +136,7 @@ def _merge_config(defaults, ns):
     """defaults < config file < explicit flags; unknown file keys rejected.
     A config value is parsed with the type of its default."""
     merged = dict(defaults)
-    if getattr(ns, "config", None):
+    if ns.config:
         for key, raw in _load_config_file(ns.config).items():
             if key not in defaults:
                 raise ValueError(f"unknown config key {key!r} in {ns.config}")
@@ -146,7 +147,7 @@ def _merge_config(defaults, ns):
                     f"bad value for config key {key!r}: {raw!r}"
                 ) from None
     for key in defaults:
-        flag = getattr(ns, key, None)
+        flag = getattr(ns, key)
         if flag is not None:
             merged[key] = flag
     return merged
@@ -251,15 +252,14 @@ def cmd_fuse(ns):
 # ---------------------------------------------------------------------------
 # synth
 
-# The multi-focus pair options, shared by synth and sweep.
-_PAIR_OPTIONS = {"sigma_b": 2.0, "split": 0}
+# The multi-focus pair option, shared by synth and sweep.
+_PAIR_OPTIONS = {"sigma_b": 2.0}
 
 
 def _multifocus_pair(truth, cfgv):
-    """The synth_multifocus pair of ``truth``; split 0 is the middle column."""
-    split = cfgv["split"] or truth.shape[1] // 2
+    """The synth_multifocus pair of ``truth``, split at the middle column."""
     _check_setting("sigma-b", cfgv["sigma_b"])
-    return imageio.synth_multifocus(truth, cfgv["sigma_b"], split)
+    return imageio.synth_multifocus(truth, cfgv["sigma_b"], truth.shape[1] // 2)
 
 
 def cmd_synth(ns):
@@ -353,17 +353,11 @@ def cmd_sweep(ns):
 # ---------------------------------------------------------------------------
 # parser / dispatch
 
-_OPTION_HELP = {"split": "focus boundary column; 0 means the middle column"}
-
-
 def _add_option_flags(p, options):
     """A ``--key`` flag for each option, typed like its default, and --config."""
     for key, default in options.items():
-        help_text = f"default: {default}"
-        if key in _OPTION_HELP:
-            help_text = f"{_OPTION_HELP[key]} ({help_text})"
         p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                       type=type(default), help=help_text)
+                       type=type(default), help=f"default: {default}")
     p.add_argument("--config", help="config file of key = value lines")
 
 

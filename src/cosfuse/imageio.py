@@ -137,9 +137,9 @@ def add_gaussian_noise(image, sigma, seed):
     image = _check_image(image)
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    rng = np.random.default_rng(seed)  # a bad seed is bad input at every sigma
     if sigma == 0:
         return image.copy()
-    rng = np.random.default_rng(seed)
     return image + rng.normal(0.0, sigma, size=image.shape)
 
 

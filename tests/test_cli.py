@@ -3,7 +3,6 @@
 import argparse
 import dataclasses
 import os
-import pathlib
 
 import numpy as np
 import pytest
@@ -154,6 +153,8 @@ def _command_argv(workdir, cmd, out):
     ["fuse", "--sigma", "nan"],
     ["fuse", "--sigma", "inf"],
     ["fuse", "--threads", "0"],
+    # A bad seed is bad input at sigma 0 too, where no noise is drawn.
+    ["fuse", "--seed", "-1"],
     # The overlap must satisfy 0 <= p < n, n = 7 for the 64x49 operator.
     ["fuse", "--p", "7"],
     ["fuse", "--p", "-1"],
@@ -309,17 +310,48 @@ def test_outputs_take_the_umask_mode(workdir, tmp_path, umask, mode):
 # ---------------------------------------------------------------------------
 # synth / fuse
 
-def test_synth_split_zero_is_the_default_middle_split(workdir, tmp_path):
-    outputs = {}
-    for name, extra in (("unset", []), ("zero", ["--split", "0"]),
-                        ("middle", ["--split", "32"])):
-        paths = [str(tmp_path / f"{name}_{k}.pgm") for k in ("t", "a", "b")]
-        rc = main(["synth", "--truth", str(workdir["truth"]), *extra,
-                   "--out-truth", paths[0], "--out-a", paths[1],
-                   "--out-b", paths[2]])
+def test_synth_splits_at_the_middle_column(workdir, tmp_path):
+    """synth's pair is ``synth_multifocus`` split at width // 2, the floor
+    on an odd width."""
+    odd = tmp_path / "odd.pgm"
+    imageio.save_pgm(odd, make_texture(33, 20, seed=2))
+    for truth_path in (workdir["truth"], odd):
+        truth = imageio.load_pgm(truth_path)
+        paths = [tmp_path / f"out_{k}.pgm" for k in ("t", "a", "b")]
+        rc = main(["synth", "--truth", str(truth_path),
+                   "--out-truth", str(paths[0]), "--out-a", str(paths[1]),
+                   "--out-b", str(paths[2])])
         assert rc == EXIT_OK
-        outputs[name] = [pathlib.Path(p).read_bytes() for p in paths]
-    assert outputs["unset"] == outputs["zero"] == outputs["middle"]
+        pair = imageio.synth_multifocus(truth, 2.0, truth.shape[1] // 2)
+        for path, image in zip(paths[1:], pair):
+            assert path.read_bytes() == imageio.write_pgm(image), truth_path.name
+
+
+@pytest.mark.parametrize("cmd", ["synth", "sweep"])
+@pytest.mark.parametrize("given_as", ["flag", "config"])
+def test_split_option_exits_2_without_output(workdir, tmp_path, capsys,
+                                             cmd, given_as):
+    """The pair always splits at the middle column: ``split``, given as a
+    flag or as a config key, is bad input, and nothing is written."""
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    if cmd == "synth":
+        argv = ["synth", "--truth", str(workdir["truth"]),
+                "--out-truth", str(outdir / "t.pgm"),
+                "--out-a", str(outdir / "a.pgm"), "--out-b", str(outdir / "b.pgm")]
+    else:
+        argv = _command_argv(workdir, cmd, outdir / "out.txt")
+    if given_as == "flag":
+        argv += ["--split", "8"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("split = 8\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert ("--split" if given_as == "flag" else "'split'") in captured.err
+    assert captured.out == ""
+    assert list(outdir.iterdir()) == []
 
 
 def test_synth_writes_three_images(workdir, tmp_path):

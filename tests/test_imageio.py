@@ -102,6 +102,11 @@ def test_noise_deterministic_per_seed():
     assert not np.array_equal(a, c)
 
 
+def test_noise_rejects_negative_seed_at_zero_sigma():
+    with pytest.raises(ValueError):
+        imageio.add_gaussian_noise(np.zeros((2, 2)), 0.0, -1)
+
+
 def test_noise_rejects_negative_sigma():
     with pytest.raises(ValueError):
         imageio.add_gaussian_noise(np.zeros((2, 2)), -1.0, 0)
