@@ -43,7 +43,8 @@ from . import imageio, metrics
 from .fuse import (FusionConfig, activity_text, diagnostics_text,
                    fuse as fuse_images, winner_map_text)
 from .learn import (AnalysisOperator, NumericalFailure, TrainConfig,
-                    _check_setting, sample_training_patches, train)
+                    sample_training_patches, train)
+from .linalg import _check_setting
 from .patches import patch_side
 
 EXIT_OK = 0
@@ -288,8 +289,8 @@ def cmd_eval(ns):
         truth = imageio.load_pgm(ns.truth)
         values["psnr_db"] = metrics.psnr(fused, truth)
         values["mse"] = metrics.mse(fused, truth)
-    for line in metrics.metric_report_lines(values):
-        print(line)
+    for key, value in values.items():
+        print(f"{key}={value:.12g}")
     return EXIT_OK
 
 

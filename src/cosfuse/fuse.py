@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .learn import (PIXEL_SCALE, TrainConfig, _admm_counters, _check_setting,
-                    cosparse_code_many)
+from .learn import PIXEL_SCALE, TrainConfig, _admm_counters, cosparse_code_many
 from .linalg import (
+    _as_matrix,
+    _check_setting,
     matrix_text,
     spectral_norm_sq,  # unused; bench/tracing.py wraps this attribute
 )
@@ -37,7 +38,6 @@ from .patches import build_grid, extract_matrix, overlap_add_matrix, patch_side
 __all__ = [
     "FusionConfig",
     "FusionResult",
-    "activity",
     "local_fuse",
     "fuse",
     "winner_map_text",
@@ -84,28 +84,14 @@ def _activities(W, P):
     return np.abs(W @ (P - P.mean(axis=0))).sum(axis=0)
 
 
-def activity(op, patch):
-    """l1 norm of the analyzed, mean-subtracted patch."""
-    data = np.asarray(patch, dtype=np.float64)
-    if data.ndim != 1 or data.size != op.m:
-        raise ValueError(f"patch must have length {op.m}, got shape {data.shape}")
-    return float(_activities(op.matrix, data[:, None])[0])
-
-
 def _check_images(images):
     if len(images) == 0:
         raise ValueError("need at least one input image")
-    arrays = [np.asarray(img, dtype=np.float64) for img in images]
+    arrays = [_as_matrix(img, f"input {k}") for k, img in enumerate(images)]
     shape = arrays[0].shape
     for k, arr in enumerate(arrays):
-        if arr.ndim != 2:
-            raise ValueError(f"input {k} is not a 2-d image")
         if arr.shape != shape:
-            raise ValueError(
-                f"input {k} has shape {arr.shape}, expected {shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"input {k} contains non-finite pixels")
+            raise ValueError(f"input {k} has shape {arr.shape}, expected {shape}")
     return arrays
 
 

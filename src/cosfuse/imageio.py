@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .linalg import _as_matrix, _check_setting
+
 __all__ = [
     "PgmFormatError",
     "read_pgm",
@@ -33,15 +35,6 @@ class PgmFormatError(ValueError):
     def __init__(self, message, offset):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
-
-
-def _check_image(image, name="image"):
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2 or image.size == 0:
-        raise ValueError(f"{name} must be a nonempty 2-d array")
-    if not np.all(np.isfinite(image)):
-        raise ValueError(f"{name} contains non-finite pixels")
-    return image
 
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -106,7 +99,7 @@ def read_pgm(data):
 
 def write_pgm(image):
     """Encode an image as binary PGM bytes (rounded and clamped to 0..255)."""
-    image = _check_image(image)
+    image = _as_matrix(image, "image")
     height, width = image.shape
     arr = np.clip(np.rint(image), 0.0, 255.0).astype(np.uint8)
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
@@ -134,9 +127,8 @@ def add_gaussian_noise(image, sigma, seed):
 
     No clamping is applied; downstream solvers see the unclamped values.
     """
-    image = _check_image(image)
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    image = _as_matrix(image, "image")
+    _check_setting("sigma", sigma)
     rng = np.random.default_rng(seed)  # a bad seed is bad input at every sigma
     if sigma == 0:
         return image.copy()
@@ -145,8 +137,7 @@ def add_gaussian_noise(image, sigma, seed):
 
 def gaussian_kernel(sigma):
     """Normalized truncated Gaussian kernel with radius ceil(3*sigma)."""
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    _check_setting("sigma", sigma)
     if sigma == 0:
         return np.ones(1)
     radius = int(math.ceil(3.0 * sigma))
@@ -175,7 +166,7 @@ def gaussian_blur(image, sigma_b):
 
     ``sigma_b = 0`` returns a copy of the input unchanged.
     """
-    image = _check_image(image)
+    image = _as_matrix(image, "image")
     kernel = gaussian_kernel(sigma_b)
     if kernel.size == 1:
         return image.copy()
@@ -189,7 +180,7 @@ def synth_multifocus(truth, sigma_b, split):
     first output is sharp left of ``split`` and blurred from ``split`` on,
     the second is the opposite. Returns (focus_left, focus_right).
     """
-    truth = _check_image(truth)
+    truth = _as_matrix(truth, "image")
     width = truth.shape[1]
     if not 0 < split < width:
         raise ValueError(f"split must be inside (0, {width}), got {split}")

@@ -47,12 +47,13 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
+    _as_matrix,
+    _check_setting,
     clip_box,
     gram,
     load_matrix_text,
@@ -93,15 +94,6 @@ DUPLICATE_ROW_COSINE = 0.999
 PIXEL_SCALE = 255.0
 
 
-def _check_setting(name, value, positive=False):
-    """Reject a float setting that is not finite, is negative or, if
-    ``positive``, is zero. Written so that NaN fails too."""
-    low_ok = value > 0 if positive else value >= 0
-    if not (math.isfinite(value) and low_ok):
-        kind = "positive" if positive else "nonnegative"
-        raise ValueError(f"{name} must be finite and {kind}, got {value}")
-
-
 @dataclass
 class AnalysisOperator:
     """An h-by-m analysis operator with unit-norm rows, h >= m."""
@@ -109,16 +101,12 @@ class AnalysisOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=np.float64)
-        if M.ndim != 2:
-            raise ValueError("operator must be a 2-d array")
+        M = _as_matrix(self.matrix, "operator")
         if M.shape[0] < M.shape[1]:
             raise ValueError(
                 f"operator needs at least as many rows as columns, "
                 f"got {M.shape[0]}x{M.shape[1]}"
             )
-        if not np.all(np.isfinite(M)):
-            raise ValueError("operator contains non-finite entries")
         norms = np.linalg.norm(M, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-10):
             raise ValueError("operator rows must have unit l2 norm")

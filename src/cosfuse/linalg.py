@@ -5,9 +5,16 @@ routines here are exactly what the coding and row-update stages need:
 the box clip and soft thresholding, Gram products, the smallest eigenpair
 of a symmetric matrix or of each matrix in a stack (LAPACK ``eigh`` behind
 an input check), the squared spectral norm, and the matrix text format.
+
+It is also the one home of the two input checks the other modules share:
+``_as_matrix`` (a nonempty, finite, 2-d float array: an image, a pair of
+metric inputs, an operator) and ``_check_setting`` (a finite, nonnegative
+or positive float setting).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,6 +40,15 @@ def _as_matrix(M, name="matrix"):
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} contains non-finite entries")
     return M
+
+
+def _check_setting(name, value, positive=False):
+    """Reject a float setting that is not finite, is negative or, if
+    ``positive``, is zero. Written so that NaN fails too."""
+    low_ok = value > 0 if positive else value >= 0
+    if not (math.isfinite(value) and low_ok):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {kind}, got {value}")
 
 
 def clip_box(v, tau):

@@ -12,19 +12,21 @@ Two source images A and B and a fused image F are compared with:
   normalized so that perfect strength and orientation agreement scores
   exactly 1, then averaged with edge-strength weights.
 
-Plain MSE/PSNR helpers are included for ground-truth comparisons.
+Plain MSE/PSNR helpers are included for ground-truth comparisons. Every
+metric takes 2-d images of one shape and rejects a non-finite pixel with
+``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _as_matrix
+
 __all__ = [
-    "EdgeMap",
     "mse",
     "psnr",
     "entropy",
@@ -32,25 +34,13 @@ __all__ = [
     "q_mi",
     "q_abf",
     "edge_map",
-    "metric_report_lines",
 ]
 
 PSNR_CAP_DB = 150.0
 
 
-@dataclass
-class EdgeMap:
-    """Sobel edge strength and orientation (radians in (-pi/2, pi/2])."""
-
-    strength: np.ndarray
-    orientation: np.ndarray
-
-
 def _check_pair(A, B):
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.ndim != 2 or B.ndim != 2:
-        raise ValueError("images must be 2-d arrays")
+    A, B = _as_matrix(A, "image"), _as_matrix(B, "image")
     if A.shape != B.shape:
         raise ValueError(f"image shapes differ: {A.shape} vs {B.shape}")
     return A, B
@@ -117,7 +107,8 @@ _GAMMA_A, _KAPPA_A, _SIGMA_A = 0.9879, -22.0, 0.8
 
 
 def edge_map(A):
-    """Sobel edge strength and line orientation of an image."""
+    """Sobel edge strength and line orientation of an image, as the pair
+    (strength, orientation), the orientation in radians in (-pi/2, pi/2]."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or min(A.shape) < 3:
         raise ValueError("edge maps need a 2-d image of at least 3x3 pixels")
@@ -137,7 +128,7 @@ def edge_map(A):
     # Fold to line orientation in (-pi/2, pi/2].
     orientation = np.where(orientation > np.pi / 2, orientation - np.pi, orientation)
     orientation = np.where(orientation <= -np.pi / 2, orientation + np.pi, orientation)
-    return EdgeMap(strength=strength, orientation=orientation)
+    return strength, orientation
 
 
 def q_abf(A, B, F):
@@ -152,7 +143,7 @@ def q_abf(A, B, F):
     """
     A, F = _check_pair(A, F)
     B, F = _check_pair(B, F)
-    e_a, e_b, e_f = edge_map(A), edge_map(B), edge_map(F)
+    (s_a, o_a), (s_b, o_b), (s_f, o_f) = edge_map(A), edge_map(B), edge_map(F)
 
     def sig_g(x):
         return _GAMMA_G / (1.0 + np.exp(_KAPPA_G * (x - _SIGMA_G)))
@@ -162,25 +153,15 @@ def q_abf(A, B, F):
 
     perfect = sig_g(1.0) * sig_a(1.0)
 
-    def preservation(e_x):
-        lo = np.minimum(e_x.strength, e_f.strength)
-        hi = np.maximum(e_x.strength, e_f.strength)
+    def preservation(s_x, o_x):
+        lo = np.minimum(s_x, s_f)
+        hi = np.maximum(s_x, s_f)
         ratio = np.where(hi > 0, lo / np.where(hi > 0, hi, 1.0), 1.0)
-        agree = 1.0 - 2.0 * np.abs(e_x.orientation - e_f.orientation) / np.pi
+        agree = 1.0 - 2.0 * np.abs(o_x - o_f) / np.pi
         return sig_g(ratio) * sig_a(agree) / perfect
 
-    w_a, w_b = e_a.strength, e_b.strength
-    denom = float((w_a + w_b).sum())
+    denom = float((s_a + s_b).sum())
     if denom == 0.0:
         return 1.0  # no edges anywhere: transfer is vacuously perfect
-    score = float((preservation(e_a) * w_a + preservation(e_b) * w_b).sum())
+    score = float((preservation(s_a, o_a) * s_a + preservation(s_b, o_b) * s_b).sum())
     return score / denom
-
-
-def metric_report_lines(values):
-    """Format metric values as the standard key=value report lines."""
-    lines = []
-    for key in ("q_mi", "q_abf", "psnr_db", "mse"):
-        if key in values:
-            lines.append(f"{key}={values[key]:.12g}")
-    return lines

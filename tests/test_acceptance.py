@@ -142,7 +142,8 @@ def test_criterion_5_synthetic_fusion(trained_operator, texture_128):
     result = fuse([a, b], trained_operator, cfg)
     p_fused = metrics.psnr(result.fused, texture_128)
     p_best = max(metrics.psnr(a, texture_128), metrics.psnr(b, texture_128))
-    grid = build_grid(128, 128, 7, 1)
+    grid = build_grid(128, 128, 7, cfg.overlap)
+    assert result.winner_map.shape == (grid.grid_rows, grid.grid_cols)
     centers = np.array(grid.col_offsets) + 3.0
     expected = (centers >= 64).astype(int)
     seam = np.abs(centers - 64) <= 7

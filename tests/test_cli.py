@@ -474,6 +474,25 @@ def test_eval_perfect_fusion_reports_ones(workdir, capsys, tmp_path):
     assert float(lines["mse"]) == 0.0
 
 
+def test_eval_stdout_golden(tmp_path, capsys):
+    # The exact report: these keys in this order, each value at 12
+    # significant digits, psnr_db and mse only with --truth.
+    r, c = np.mgrid[0:12, 0:12]
+    a = (r * r + 7 * c * c) % 256
+    b = (3 * r * c + 5 * c) % 256
+    paths = {}
+    for name, image in (("a", a), ("b", b), ("fused", (a + b) // 2)):
+        paths[name] = str(tmp_path / f"{name}.pgm")
+        imageio.save_pgm(paths[name], image)
+    args = ["eval", "--a", paths["a"], "--b", paths["b"], "--fused", paths["fused"]]
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out == "q_mi=0.905129113985\nq_abf=0.377980607192\n"
+    assert main(args + ["--truth", paths["a"]]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "q_mi=0.905129113985\nq_abf=0.377980607192\n"
+        "psnr_db=15.5533847266\nmse=1810.26388889\n")
+
+
 def test_eval_missing_file_exits_2(workdir, capsys):
     rc = main(["eval", "--a", "missing.pgm", "--b", str(workdir["truth"]),
                "--fused", str(workdir["truth"])])

@@ -12,7 +12,7 @@ from cosfuse import imageio, learn, metrics
 from cosfuse.fuse import (
     FusionConfig,
     FusionResult,
-    activity,
+    _activities,
     activity_text,
     diagnostics_text,
     fuse,
@@ -38,43 +38,42 @@ def _sharp_side_stats(winner_map, grid, split, patch_size):
 
 
 # ---------------------------------------------------------------------------
-# activity
+# _activities: the ranking rule on a patch matrix, one column per cell
 
 def test_activity_constant_patch_is_zero(random_operator):
-    assert activity(random_operator, np.full(49, 9.25)) == 0.0
+    P = np.full((49, 3), 9.25) * np.array([1.0, 0.0, -0.5])
+    np.testing.assert_array_equal(_activities(random_operator.matrix, P),
+                                  np.zeros(3))
 
 
 def test_activity_matches_direct_loop(random_operator):
-    data = np.random.default_rng(0).uniform(0, 1, 49)
-    centered = data - data.mean()
-    expected = sum(abs(float(row @ centered)) for row in random_operator.matrix)
-    assert activity(random_operator, data) == pytest.approx(expected, rel=1e-12)
+    P = np.random.default_rng(0).uniform(0, 1, (49, 5))
+    acts = _activities(random_operator.matrix, P)
+    for c in range(P.shape[1]):
+        centered = P[:, c] - P[:, c].mean()
+        expected = sum(abs(float(row @ centered)) for row in random_operator.matrix)
+        assert acts[c] == pytest.approx(expected, rel=1e-12)
 
 
 def test_activity_sharp_exceeds_blurred(trained_operator, texture_128):
     blurred = imageio.gaussian_blur(texture_128, 2.0)
     grid = build_grid(128, 128, 7, 1)
-    sharp_patches = extract_matrix(texture_128 / 255.0, grid)
-    blur_patches = extract_matrix(blurred / 255.0, grid)
-    wins = 0
-    for c in range(grid.cell_count):
-        a_sharp = activity(trained_operator, sharp_patches[:, c])
-        a_blur = activity(trained_operator, blur_patches[:, c])
-        wins += int(a_sharp > a_blur)
-    assert wins / grid.cell_count > 0.95
+    W = trained_operator.matrix
+    a_sharp = _activities(W, extract_matrix(texture_128 / 255.0, grid))
+    a_blur = _activities(W, extract_matrix(blurred / 255.0, grid))
+    assert np.mean(a_sharp > a_blur) > 0.95
 
 
 def test_activity_scale_covariance(random_operator):
-    rng = np.random.default_rng(1)
-    patch = rng.standard_normal(49)
-    patch -= patch.mean()
-    base = activity(random_operator, patch)
-    assert activity(random_operator, 3.5 * patch) == pytest.approx(3.5 * base, rel=1e-10)
+    P = np.random.default_rng(1).standard_normal((49, 4))
+    base = _activities(random_operator.matrix, P)
+    np.testing.assert_allclose(_activities(random_operator.matrix, 3.5 * P),
+                               3.5 * base, rtol=1e-10)
 
 
 def test_activity_rejects_wrong_length(random_operator):
     with pytest.raises(ValueError):
-        activity(random_operator, np.zeros(48))
+        _activities(random_operator.matrix, np.zeros((48, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +129,15 @@ def test_local_fuse_winner_map_matches_activity_oracle(trained_operator, texture
     a, b = imageio.synth_multifocus(texture_128, 2.0, split=64)
     cfg = FusionConfig()
     result = local_fuse(trained_operator, [a, b], cfg)
-    grid = build_grid(128, 128, 7, 1)
-    # independent per-cell activity comparison
+    grid = build_grid(128, 128, 7, cfg.overlap)
+    assert result.winner_map.shape == (grid.grid_rows, grid.grid_cols)
+    # independent per-cell activity comparison in plain numpy
+    W = trained_operator.matrix
     pa = extract_matrix(a / 255.0, grid)
     pb = extract_matrix(b / 255.0, grid)
     for c in range(grid.cell_count):
-        act_a = activity(trained_operator, pa[:, c])
-        act_b = activity(trained_operator, pb[:, c])
+        act_a = np.abs(W @ (pa[:, c] - pa[:, c].mean())).sum()
+        act_b = np.abs(W @ (pb[:, c] - pb[:, c].mean())).sum()
         expected = 0 if act_a >= act_b else 1
         i, j = divmod(c, grid.grid_cols)
         assert result.winner_map[i, j] == expected

@@ -61,6 +61,14 @@ def test_init_operator_rejects_h_below_m():
         learn.init_operator(10, 11, seed=0)
 
 
+@pytest.mark.parametrize("matrix", [np.empty((0, 0)), np.ones(3),
+                                    [[1.0, np.nan], [0.0, 1.0]]],
+                         ids=["empty", "1-d", "nan"])
+def test_operator_rejects_empty_1d_and_non_finite_matrices(matrix):
+    with pytest.raises(ValueError, match="^operator "):
+        learn.AnalysisOperator(matrix)
+
+
 def test_operator_save_load_round_trip(tmp_path):
     op = learn.init_operator(12, 9, seed=4)
     path = tmp_path / "op.txt"

@@ -252,9 +252,9 @@ def test_edge_map_matches_nine_tap_sobel_bit_for_bit():
         orientation = np.where(orientation > np.pi / 2, orientation - np.pi, orientation)
         orientation = np.where(orientation <= -np.pi / 2, orientation + np.pi,
                                orientation)
-        e = metrics.edge_map(img)
-        assert np.array_equal(e.strength, np.hypot(gx, gy))
-        assert np.array_equal(e.orientation, orientation)
+        strength, orientation_out = metrics.edge_map(img)
+        assert np.array_equal(strength, np.hypot(gx, gy))
+        assert np.array_equal(orientation_out, orientation)
 
 
 def test_q_abf_perfect_fusion_is_one():
@@ -311,9 +311,16 @@ def test_metrics_shift_invariant_away_from_clamp():
         assert shifted == pytest.approx(base, abs=1e-9)
 
 
-def test_metric_report_lines_format():
-    lines = metrics.metric_report_lines(
-        {"q_mi": 0.5, "q_abf": 0.25, "psnr_db": 30.0, "mse": 65.0})
-    assert lines[0].startswith("q_mi=")
-    assert lines[1].startswith("q_abf=")
-    assert len(lines) == 4
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("metric", [metrics.q_mi, metrics.q_abf, metrics.psnr,
+                                    metrics.mse],
+                         ids=["q_mi", "q_abf", "psnr", "mse"])
+def test_metrics_reject_non_finite_images(metric, bad):
+    # One bad pixel in any argument is a ValueError, not a score.
+    arity = 3 if metric in (metrics.q_mi, metrics.q_abf) else 2
+    images = [_rand_img((8, 8), 40 + k) for k in range(arity)]
+    for k in range(arity):
+        args = [img.copy() for img in images]
+        args[k][3, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            metric(*args)
