@@ -3,8 +3,8 @@
 Matrices and vectors are plain numpy float64 arrays (row-major). The few
 routines here are exactly what the coding and row-update stages need:
 the box clip and soft thresholding, Gram products, the smallest eigenpair
-of a symmetric matrix or of each matrix in a stack (LAPACK ``eigh`` behind
-an input check), the squared spectral norm, and the matrix text format.
+of each matrix in a stack of symmetric matrices (LAPACK ``eigh`` behind an
+input check), the squared spectral norm, and the matrix text format.
 
 It is also the one home of the two input checks the other modules share:
 ``_as_matrix`` (a nonempty, finite, 2-d float array: an image, a pair of
@@ -83,37 +83,34 @@ def gram(M):
 
 def _check_symmetric(S):
     S = np.asarray(S, dtype=np.float64)
-    if S.ndim not in (2, 3) or S.size == 0:
-        raise ValueError("symmetric matrix must be a nonempty 2-d array or a "
-                         f"stack of them, got shape {S.shape}")
+    if S.ndim != 3 or S.size == 0:
+        raise ValueError("symmetric matrices must be a nonempty k-by-m-by-m "
+                         f"stack, got shape {S.shape}")
     if not np.all(np.isfinite(S)):
         raise ValueError("symmetric matrix contains non-finite entries")
-    if S.shape[-2] != S.shape[-1]:
-        raise ValueError(f"matrix must be square, got shape {S.shape}")
+    if S.shape[1] != S.shape[2]:
+        raise ValueError(f"matrices must be square, got shape {S.shape}")
     # Each matrix against its own scale; an all-zero one is symmetric.
-    axes = (-2, -1)
-    scale = np.abs(S).max(axis=axes)
-    if np.any(np.abs(S - np.swapaxes(S, -2, -1)).max(axis=axes) > 1e-10 * scale):
+    scale = np.abs(S).max(axis=(1, 2))
+    if np.any(np.abs(S - S.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-10 * scale):
         raise ValueError("matrix is not symmetric within 1e-10 relative tolerance")
     return S
 
 
 def sym_eig_smallest(S):
-    """Smallest eigenpair of a symmetric matrix (LAPACK ``eigh``).
+    """Smallest eigenpair of each matrix in a k-by-m-by-m stack of symmetric
+    matrices (one LAPACK ``eigh`` call).
 
-    Returns (eigenvalue, unit eigenvector). ``S`` may also be a k-by-m-by-m
-    stack of symmetric matrices; then one ``eigh`` call solves them all and
-    the result is (the k eigenvalues, a k-by-m array whose row i is matrix
-    i's eigenvector, in its own memory), each bit-equal to a call on that
-    matrix alone. For degenerate spectra any minimizing eigenvector may be
-    returned. Raises ``ValueError`` if any matrix is non-square, non-finite
-    or asymmetric (relative to its own largest entry), and
-    ``numpy.linalg.LinAlgError`` if LAPACK does not converge.
+    Returns (the k eigenvalues, a k-by-m array whose row i is matrix i's
+    unit eigenvector, in its own memory), each bit-equal to a call on a
+    stack of that matrix alone. For degenerate spectra any minimizing
+    eigenvector may be returned. Raises ``ValueError`` if ``S`` is not such
+    a stack or any matrix is non-finite or asymmetric (relative to its own
+    largest entry), and ``numpy.linalg.LinAlgError`` if LAPACK does not
+    converge.
     """
     S = _check_symmetric(S)
     w, V = np.linalg.eigh(S)
-    if S.ndim == 2:
-        return float(w[0]), V[:, 0]
     return w[:, 0], V[:, :, 0].copy()  # a view would pin all of V
 
 

@@ -26,29 +26,23 @@ import numpy as np
 
 from .linalg import _as_matrix
 
-__all__ = [
-    "mse",
-    "psnr",
-    "entropy",
-    "mutual_information",
-    "q_mi",
-    "q_abf",
-    "edge_map",
-]
+__all__ = ["mse", "psnr", "q_mi", "q_abf"]
 
 PSNR_CAP_DB = 150.0
 
 
-def _check_pair(A, B):
-    A, B = _as_matrix(A, "image"), _as_matrix(B, "image")
-    if A.shape != B.shape:
-        raise ValueError(f"image shapes differ: {A.shape} vs {B.shape}")
-    return A, B
+def _check_images(*images):
+    """Each image through ``_as_matrix`` once; all of one shape."""
+    images = [_as_matrix(X, "image") for X in images]
+    for X in images[1:]:
+        if X.shape != images[0].shape:
+            raise ValueError(f"image shapes differ: {images[0].shape} vs {X.shape}")
+    return images
 
 
 def mse(A, B):
     """Mean squared pixel difference."""
-    A, B = _check_pair(A, B)
+    A, B = _check_images(A, B)
     return float(np.mean((A - B) ** 2))
 
 
@@ -61,8 +55,8 @@ def psnr(A, B):
 
 
 def _quantize(A):
-    """Pixel values rounded into the 256 bins 0..255, flattened."""
-    A = np.asarray(A, dtype=np.float64)
+    """Pixel values of a checked image rounded into the 256 bins 0..255,
+    flattened."""
     return np.clip(np.rint(A), 0, 255).astype(np.int64).ravel()
 
 
@@ -74,22 +68,9 @@ def _entropy(codes):
     return float(-(p * np.log2(p)).sum())
 
 
-def entropy(A):
-    """Shannon entropy in bits of the 256-bin quantized pixel distribution."""
-    return _entropy(_quantize(A))
-
-
-def mutual_information(A, B):
-    """Mutual information in bits: H(A) + H(B) - H(A, B)."""
-    a, b = (_quantize(X) for X in _check_pair(A, B))
-    return _entropy(a) + _entropy(b) - _entropy(a * 256 + b)
-
-
 def q_mi(A, B, F):
     """Normalized mutual-information fusion score in [0, 1]."""
-    _check_pair(A, F)
-    _check_pair(B, F)
-    a, b, f = _quantize(A), _quantize(B), _quantize(F)
+    a, b, f = (_quantize(X) for X in _check_images(A, B, F))
     h_a, h_b, h_f = _entropy(a), _entropy(b), _entropy(f)
     if h_a + h_f == 0.0 or h_b + h_f == 0.0:
         warnings.warn("q_mi is degenerate for zero-entropy inputs; returning 0")
@@ -106,12 +87,12 @@ _GAMMA_G, _KAPPA_G, _SIGMA_G = 0.9994, -15.0, 0.5
 _GAMMA_A, _KAPPA_A, _SIGMA_A = 0.9879, -22.0, 0.8
 
 
-def edge_map(A):
-    """Sobel edge strength and line orientation of an image, as the pair
-    (strength, orientation), the orientation in radians in (-pi/2, pi/2]."""
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or min(A.shape) < 3:
-        raise ValueError("edge maps need a 2-d image of at least 3x3 pixels")
+def _edge_map(A):
+    """Sobel edge strength and line orientation of a checked image, as the
+    pair (strength, orientation), the orientation in radians in
+    (-pi/2, pi/2]."""
+    if min(A.shape) < 3:
+        raise ValueError("edge maps need an image of at least 3x3 pixels")
     H, W = A.shape
     padded = np.pad(A, 1, mode="symmetric")
 
@@ -141,9 +122,7 @@ def q_abf(A, B, F):
     Pixels where both edges vanish count as perfectly preserved with zero
     weight.
     """
-    A, F = _check_pair(A, F)
-    B, F = _check_pair(B, F)
-    (s_a, o_a), (s_b, o_b), (s_f, o_f) = edge_map(A), edge_map(B), edge_map(F)
+    (s_a, o_a), (s_b, o_b), (s_f, o_f) = (_edge_map(X) for X in _check_images(A, B, F))
 
     def sig_g(x):
         return _GAMMA_G / (1.0 + np.exp(_KAPPA_G * (x - _SIGMA_G)))

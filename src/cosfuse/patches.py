@@ -132,7 +132,9 @@ def overlap_add_matrix(P, grid):
 
     ``bincount`` adds the contributions to each pixel in cell order, the
     order of a loop over the cells, so the sums are exactly those of
-    adding the patches one by one. It reads P cell-major, so P given as the
+    adding the patches one by one. Each pixel's sum is divided by the
+    number of windows covering it, the product of its row's and its
+    column's window counts. It reads P cell-major, so P given as the
     transposed view of a C-ordered (cells, n*n) array is read without a
     copy.
     """
@@ -142,8 +144,11 @@ def overlap_add_matrix(P, grid):
             f"patch matrix shape {P.shape} does not match grid "
             f"({grid.patch_dim}, {grid.cell_count})"
         )
-    index = _pixel_index(grid)
-    size = grid.image_height * grid.image_width
-    accum = np.bincount(index, weights=P.T.ravel(), minlength=size)
-    counts = np.bincount(index, minlength=size)
-    return (accum / counts).reshape(grid.image_height, grid.image_width)
+    n, height, width = grid.patch_size, grid.image_height, grid.image_width
+    accum = np.bincount(_pixel_index(grid), weights=P.T.ravel(),
+                        minlength=height * width)
+    row_cover, col_cover = (
+        np.bincount((np.asarray(offsets)[:, None] + np.arange(n)).ravel(),
+                    minlength=dim)
+        for offsets, dim in ((grid.row_offsets, height), (grid.col_offsets, width)))
+    return accum.reshape(height, width) / np.outer(row_cover, col_cover)

@@ -437,7 +437,7 @@ def test_update_row_eigensolves_converge_on_training_grams(texture_128, cartoon_
         J = np.flatnonzero(np.abs(op.matrix[j] @ X) <= cfg.cosupport_tol)
         assert J.size > 0
         S = gram(Y[:, J])
-        lam, vec = sym_eig_smallest(S)
+        (lam,), (vec,) = sym_eig_smallest(S[None])
         assert np.linalg.norm(S @ vec - lam * vec) <= 1e-12 * np.linalg.norm(S)
 
 
@@ -703,7 +703,7 @@ def _per_row_reference_train(Y, cfg, h):
         count = 0
         for j in range(h):
             J = np.flatnonzero(np.abs(op.matrix[j] @ X) <= cfg.cosupport_tol)
-            row = sym_eig_smallest(gram(Y[:, J]))[1] if J.size else None
+            row = sym_eig_smallest(gram(Y[:, J])[None])[1][0] if J.size else None
             if (row is None or np.abs(np.delete(op.matrix, j, axis=0) @ row).max()
                     > learn.DUPLICATE_ROW_COSINE):
                 row = learn._random_unit_row(reinit_rng, Y.shape[0])

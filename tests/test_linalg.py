@@ -120,13 +120,13 @@ def _shifted_power_iteration_smallest(S, iters=20_000, seed=0):
 
 
 def test_sym_eig_smallest_diagonal():
-    lam, vec = linalg.sym_eig_smallest(np.diag([3.0, 1.0, 2.0]))
+    (lam,), (vec,) = linalg.sym_eig_smallest(np.diag([3.0, 1.0, 2.0])[None])
     assert lam == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(np.abs(vec), [0.0, 1.0, 0.0], atol=1e-10)
 
 
 def test_sym_eig_smallest_closed_form_2x2():
-    lam, vec = linalg.sym_eig_smallest(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    (lam,), (vec,) = linalg.sym_eig_smallest(np.array([[[2.0, 1.0], [1.0, 2.0]]]))
     assert lam == pytest.approx(1.0, abs=1e-12)
     expected = np.array([1.0, -1.0]) / np.sqrt(2)
     assert min(np.linalg.norm(vec - expected), np.linalg.norm(vec + expected)) < 1e-10
@@ -136,7 +136,7 @@ def test_sym_eig_smallest_matches_shifted_power_iteration():
     rng = np.random.default_rng(11)
     for trial in range(5):
         S = linalg.gram(rng.standard_normal((6, 9)))
-        lam, vec = linalg.sym_eig_smallest(S)
+        (lam,), (vec,) = linalg.sym_eig_smallest(S[None])
         lam_ref, _ = _shifted_power_iteration_smallest(S, seed=trial)
         assert lam == pytest.approx(lam_ref, abs=1e-8 * np.linalg.norm(S))
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
@@ -147,7 +147,7 @@ def test_sym_eig_residual_up_to_64():
     for n in (3, 16, 33, 64):
         A = rng.standard_normal((n, n))
         S = (A + A.T) / 2
-        lam, vec = linalg.sym_eig_smallest(S)
+        (lam,), (vec,) = linalg.sym_eig_smallest(S[None])
         resid = np.linalg.norm(S @ vec - lam * vec)
         assert resid <= 1e-8 * np.linalg.norm(S)
 
@@ -155,7 +155,7 @@ def test_sym_eig_residual_up_to_64():
 def test_sym_eig_smallest_is_lower_bound_on_rayleigh():
     rng = np.random.default_rng(9)
     S = linalg.gram(rng.standard_normal((12, 20)))
-    lam, _ = linalg.sym_eig_smallest(S)
+    (lam,), _ = linalg.sym_eig_smallest(S[None])
     U = rng.standard_normal((1000, 12))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     rayleigh = np.einsum("ij,jk,ik->i", U, S, U)
@@ -163,10 +163,14 @@ def test_sym_eig_smallest_is_lower_bound_on_rayleigh():
 
 
 def test_sym_eig_rejects_bad_input():
-    with pytest.raises(ValueError):
-        linalg.sym_eig_smallest(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        linalg.sym_eig_smallest(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="not symmetric"):
+        linalg.sym_eig_smallest(np.array([[[1.0, 2.0], [0.0, 1.0]]]))
+    with pytest.raises(ValueError, match="square"):
+        linalg.sym_eig_smallest(np.ones((1, 2, 3)))
+    # Only the stack the row update builds: a lone matrix is not one.
+    for matrix in (np.eye(3), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="stack"):
+            linalg.sym_eig_smallest(matrix)
 
 
 @pytest.mark.parametrize("m", [25, 49])
@@ -182,8 +186,8 @@ def test_sym_eig_smallest_stack_is_bit_equal_to_per_matrix_calls(m):
     lams, vecs = linalg.sym_eig_smallest(np.stack(stack))
     assert lams.shape == (len(stack),) and vecs.shape == (len(stack), m)
     for S, lam, vec in zip(stack, lams, vecs):
-        lam_one, vec_one = linalg.sym_eig_smallest(S)
-        assert lam.tobytes() == np.float64(lam_one).tobytes()
+        lam_one, vec_one = linalg.sym_eig_smallest(S[None])
+        assert lam.tobytes() == lam_one.tobytes()
         assert vec.tobytes() == vec_one.tobytes()
 
 

@@ -59,7 +59,7 @@ def test_psnr_decreases_with_noise():
 
 
 # ---------------------------------------------------------------------------
-# entropy / mutual information
+# q_mi
 
 def _entropy_oracle(img):
     counts = {}
@@ -80,32 +80,9 @@ def _mi_oracle(A, B):
     return _entropy_oracle(A) + _entropy_oracle(B) - h_joint
 
 
-def test_entropy_constant_is_zero():
-    assert metrics.entropy(np.full((8, 8), 42.0)) == 0.0
-
-
-def test_mi_with_constant_is_zero():
-    const = np.full((8, 8), 17.0)
-    other = _rand_img((8, 8), 4)
-    assert metrics.mutual_information(const, other) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_mi_self_equals_entropy():
-    img = _rand_img((12, 12), 5)
-    assert metrics.mutual_information(img, img) == pytest.approx(
-        metrics.entropy(img), rel=1e-12)
-
-
-def test_mi_matches_brute_force_oracle():
-    A, B = _rand_img((16, 16), 6), _rand_img((16, 16), 7)
-    assert metrics.mutual_information(A, B) == pytest.approx(
-        _mi_oracle(A, B), abs=1e-12)
-    assert metrics.entropy(A) == pytest.approx(_entropy_oracle(A), abs=1e-12)
-
-
-# The joint-histogram computation that mutual_information and q_mi used
-# before they shared one bincount entropy helper: a 256x256 joint histogram
-# per image pair, with the marginal entropies taken from its sums.
+# The joint-histogram computation that q_mi used before it took its five
+# entropies from one bincount helper: a 256x256 joint histogram per image
+# pair, with the marginal entropies taken from its sums.
 
 def _quantized(A):
     return np.clip(np.rint(A), 0, 255).astype(np.int64).ravel()
@@ -140,14 +117,9 @@ def test_q_mi_and_mi_match_joint_histogram_bit_for_bit(shape):
         A, B, F = (rng.uniform(-30.0, 285.0, shape) for _ in range(3))
         if trial % 3 == 0:
             F = np.rint(A / 16.0) * 16.0  # F shares structure with A
-        got_mi = np.float64(metrics.mutual_information(A, F)).tobytes()
-        assert got_mi == np.float64(_joint_histogram_mi(A, F)).tobytes()
         got = np.float64(metrics.q_mi(A, B, F)).tobytes()
         assert got == np.float64(_joint_histogram_q_mi(A, B, F)).tobytes()
 
-
-# ---------------------------------------------------------------------------
-# q_mi
 
 def test_q_mi_perfect_fusion_is_one():
     A = _rand_img((16, 16), 10)
@@ -252,7 +224,7 @@ def test_edge_map_matches_nine_tap_sobel_bit_for_bit():
         orientation = np.where(orientation > np.pi / 2, orientation - np.pi, orientation)
         orientation = np.where(orientation <= -np.pi / 2, orientation + np.pi,
                                orientation)
-        strength, orientation_out = metrics.edge_map(img)
+        strength, orientation_out = metrics._edge_map(img)
         assert np.array_equal(strength, np.hypot(gx, gy))
         assert np.array_equal(orientation_out, orientation)
 
@@ -284,9 +256,16 @@ def test_q_abf_symmetric_in_sources():
 
 
 def test_q_abf_rejects_tiny_images():
-    small = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        metrics.q_abf(small, small, small)
+    for shape in ((2, 2), (2, 3)):
+        small = np.zeros(shape)
+        with pytest.raises(ValueError, match="at least 3x3"):
+            metrics.q_abf(small, small, small)
+    # The smallest size edge maps take: the pixels are checked all the same.
+    A = np.zeros((3, 3))
+    F = A.copy()
+    F[1, 1] = math.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        metrics.q_abf(A, A, F)
 
 
 # ---------------------------------------------------------------------------
@@ -324,3 +303,17 @@ def test_metrics_reject_non_finite_images(metric, bad):
         args[k][3, 4] = bad
         with pytest.raises(ValueError, match="non-finite"):
             metric(*args)
+
+
+@pytest.mark.parametrize("metric", [metrics.q_mi, metrics.q_abf],
+                         ids=["q_mi", "q_abf"])
+def test_metrics_reject_a_differing_shape_in_any_argument(metric):
+    for k in range(3):
+        args = [_rand_img((8, 8), 50 + j) for j in range(3)]
+        args[k] = _rand_img((8, 9), 60)
+        with pytest.raises(ValueError, match="image shapes differ"):
+            metric(*args)
+
+
+def test_public_metrics_are_the_four_scores():
+    assert metrics.__all__ == ["mse", "psnr", "q_mi", "q_abf"]
