@@ -41,10 +41,10 @@ import numpy as np
 
 from . import imageio, metrics
 from .fuse import (FusionConfig, activity_text, diagnostics_text,
-                   fuse as fuse_images, winner_map_text)
+                   fuse as fuse_images)
 from .learn import (AnalysisOperator, NumericalFailure, TrainConfig,
                     sample_training_patches, train)
-from .linalg import _check_setting
+from .linalg import _as_images, _check_setting, matrix_text
 from .patches import patch_side
 
 EXIT_OK = 0
@@ -220,14 +220,7 @@ def _derived_path(out, suffix):
 def cmd_fuse(ns):
     cfgv = _merge_config(_FUSE_OPTIONS, ns)
     _validate_threads(cfgv["threads"])
-    images = [imageio.load_pgm(p) for p in ns.inputs]
-    shapes = {img.shape for img in images}
-    if len(shapes) != 1:
-        raise ValueError(
-            "input images disagree on size: "
-            + ", ".join(f"{p}={img.shape[1]}x{img.shape[0]}"
-                        for p, img in zip(ns.inputs, images))
-        )
+    images = _as_images([imageio.load_pgm(p) for p in ns.inputs], ns.inputs)
     operator = AnalysisOperator.load(ns.op)
     images = [imageio.add_gaussian_noise(img, cfgv["sigma"], (cfgv["seed"], k))
               for k, img in enumerate(images)]
@@ -239,7 +232,7 @@ def cmd_fuse(ns):
     diag_path = ns.diagnostics or _derived_path(ns.out, "_diag.txt")
 
     _atomic_write((ns.out, imageio.write_pgm(result.fused)),
-                  (winner_path, winner_map_text(result)),
+                  (winner_path, matrix_text(result.winner_map)),
                   (activity_path, activity_text(result)),
                   (diag_path, diagnostics_text(result)))
 

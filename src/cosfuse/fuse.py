@@ -28,9 +28,8 @@ import numpy as np
 
 from .learn import PIXEL_SCALE, TrainConfig, _admm_counters, cosparse_code_many
 from .linalg import (
-    _as_matrix,
+    _as_images,
     _check_setting,
-    matrix_text,
     spectral_norm_sq,  # unused; bench/tracing.py wraps this attribute
 )
 from .patches import build_grid, extract_matrix, overlap_add_matrix, patch_side
@@ -40,7 +39,6 @@ __all__ = [
     "FusionResult",
     "local_fuse",
     "fuse",
-    "winner_map_text",
     "activity_text",
     "diagnostics_text",
 ]
@@ -84,17 +82,6 @@ def _activities(W, P):
     return np.abs(W @ (P - P.mean(axis=0))).sum(axis=0)
 
 
-def _check_images(images):
-    if len(images) == 0:
-        raise ValueError("need at least one input image")
-    arrays = [_as_matrix(img, f"input {k}") for k, img in enumerate(images)]
-    shape = arrays[0].shape
-    for k, arr in enumerate(arrays):
-        if arr.shape != shape:
-            raise ValueError(f"input {k} has shape {arr.shape}, expected {shape}")
-    return arrays
-
-
 def local_fuse(op, images, cfg):
     """Select and denoise the winner patch per grid cell.
 
@@ -112,7 +99,7 @@ def local_fuse(op, images, cfg):
     not clamped, with the winner map, the per-cell activities and the
     local-stage diagnostics.
     """
-    arrays = _check_images(images)
+    arrays = _as_images(images, [f"input {k}" for k in range(len(images))])
     rows, cols = arrays[0].shape
     grid = build_grid(cols, rows, patch_side(op.m), cfg.overlap)
     W = op.matrix
@@ -171,12 +158,6 @@ def fuse(images, op, cfg):
     result.diagnostics.update(gdiag)
     result.fused = np.clip(fused, 0.0, 255.0)
     return result
-
-
-def winner_map_text(result):
-    """Winner map in the matrix text format (``linalg.matrix_text``): a
-    "rows cols" header, then one line of source indices per grid row."""
-    return matrix_text(result.winner_map)
 
 
 def activity_text(result):

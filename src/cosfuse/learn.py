@@ -176,9 +176,8 @@ class TrainReport:
 
 
 def init_operator(h, m, seed):
-    """Random operator: i.i.d. standard normal rows, normalized to unit norm."""
-    if h < m:
-        raise ValueError(f"need h >= m, got h={h}, m={m}")
+    """Random operator: i.i.d. standard normal rows, normalized to unit
+    norm. ``AnalysisOperator`` rejects h < m."""
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((h, m))
     M /= np.linalg.norm(M, axis=1, keepdims=True)
@@ -385,22 +384,21 @@ def _random_unit_row(rng, m):
 
 
 def update_row(op, j, Y, X, cfg):
-    """New value for operator row ``j`` given training data and coded signals.
+    """New values for the operator rows whose indices are the 1-d integer
+    array ``j``, given training data and coded signals, as a list in the
+    order of ``j``.
 
-    The orthogonal column set J holds the columns x of the coded signals X
-    with |row . x| <= ``cfg.cosupport_tol`` (1e-3) for the current row. The
-    returned row is the unit minimizer of the summed squared inner products
+    Row j's orthogonal column set J holds the columns x of the coded signals
+    X with |row . x| <= ``cfg.cosupport_tol`` (1e-3) for the current row.
+    Its new value is the unit minimizer of the summed squared inner products
     with the training columns Y restricted to J, or None when J is empty.
-
-    ``j`` may also be a 1-d array of row indices. Then the result is a list
-    holding, for each index, what the call with that integer returns. All
-    the sets come from one ``op.matrix[j] @ X`` product, and one
+    All the sets come from one ``op.matrix[j] @ X`` product, and one
     ``sym_eig_smallest`` call solves the stacked Gram matrices of the
-    non-empty ones; an integer ``j`` is the one-row case of the same path.
+    non-empty ones.
     """
     rows = np.asarray(j)
-    if rows.ndim > 1 or rows.dtype.kind not in "iu":
-        raise ValueError(f"row index must be an integer or a 1-d integer array, got {j!r}")
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise ValueError(f"row indices must be a 1-d integer array, got {j!r}")
     bad = rows[(rows < 0) | (rows >= op.h)]
     if bad.size:
         raise ValueError(f"row index {bad[0]} out of range for h={op.h}")
@@ -409,7 +407,7 @@ def update_row(op, j, Y, X, cfg):
     if Y.shape[0] != op.m or X.shape != Y.shape:
         raise ValueError("Y and X must both be m-by-N with m matching the operator")
     # Row k of ``orthogonal`` marks the columns of the k-th row's set.
-    orthogonal = np.abs(op.matrix[np.atleast_1d(rows)] @ X) <= cfg.cosupport_tol
+    orthogonal = np.abs(op.matrix[rows] @ X) <= cfg.cosupport_tol
     full = np.flatnonzero(orthogonal.any(axis=1))
     new = [None] * len(orthogonal)
     if full.size:
@@ -419,7 +417,7 @@ def update_row(op, j, Y, X, cfg):
         _, vecs = sym_eig_smallest(grams)
         for k, vec in zip(full, vecs):
             new[k] = vec
-    return new if rows.ndim else new[0]
+    return new
 
 
 def train(Y, cfg, h):

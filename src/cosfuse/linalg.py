@@ -6,10 +6,11 @@ the box clip and soft thresholding, Gram products, the smallest eigenpair
 of each matrix in a stack of symmetric matrices (LAPACK ``eigh`` behind an
 input check), the squared spectral norm, and the matrix text format.
 
-It is also the one home of the two input checks the other modules share:
-``_as_matrix`` (a nonempty, finite, 2-d float array: an image, a pair of
-metric inputs, an operator) and ``_check_setting`` (a finite, nonnegative
-or positive float setting).
+It is also the one home of the three input checks the other modules share:
+``_as_matrix`` (a nonempty, finite, 2-d float array: an image, an
+operator), ``_as_images`` (a nonempty list of such images, all of one
+shape: the fuse inputs, the metric arguments) and ``_check_setting`` (a
+finite, nonnegative or positive float setting).
 """
 
 from __future__ import annotations
@@ -40,6 +41,20 @@ def _as_matrix(M, name="matrix"):
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} contains non-finite entries")
     return M
+
+
+def _as_images(images, names):
+    """Each image through ``_as_matrix`` under its name in ``names``, as a
+    list. An empty list is a ``ValueError``, and so is an image whose shape
+    differs from the first image's: the message names both, with shapes."""
+    if len(images) == 0:
+        raise ValueError("need at least one input image")
+    arrays = [_as_matrix(img, name) for img, name in zip(images, names)]
+    for arr, name in zip(arrays[1:], names[1:]):
+        if arr.shape != arrays[0].shape:
+            raise ValueError(f"{name} has shape {arr.shape}, expected "
+                             f"{arrays[0].shape} like {names[0]}")
+    return arrays
 
 
 def _check_setting(name, value, positive=False):

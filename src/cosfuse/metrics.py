@@ -24,25 +24,16 @@ import warnings
 
 import numpy as np
 
-from .linalg import _as_matrix
+from .linalg import _as_images
 
 __all__ = ["mse", "psnr", "q_mi", "q_abf"]
 
 PSNR_CAP_DB = 150.0
 
 
-def _check_images(*images):
-    """Each image through ``_as_matrix`` once; all of one shape."""
-    images = [_as_matrix(X, "image") for X in images]
-    for X in images[1:]:
-        if X.shape != images[0].shape:
-            raise ValueError(f"image shapes differ: {images[0].shape} vs {X.shape}")
-    return images
-
-
 def mse(A, B):
     """Mean squared pixel difference."""
-    A, B = _check_images(A, B)
+    A, B = _as_images((A, B), ("A", "B"))
     return float(np.mean((A - B) ** 2))
 
 
@@ -70,7 +61,7 @@ def _entropy(codes):
 
 def q_mi(A, B, F):
     """Normalized mutual-information fusion score in [0, 1]."""
-    a, b, f = (_quantize(X) for X in _check_images(A, B, F))
+    a, b, f = (_quantize(X) for X in _as_images((A, B, F), ("A", "B", "F")))
     h_a, h_b, h_f = _entropy(a), _entropy(b), _entropy(f)
     if h_a + h_f == 0.0 or h_b + h_f == 0.0:
         warnings.warn("q_mi is degenerate for zero-entropy inputs; returning 0")
@@ -122,7 +113,8 @@ def q_abf(A, B, F):
     Pixels where both edges vanish count as perfectly preserved with zero
     weight.
     """
-    (s_a, o_a), (s_b, o_b), (s_f, o_f) = (_edge_map(X) for X in _check_images(A, B, F))
+    images = _as_images((A, B, F), ("A", "B", "F"))
+    (s_a, o_a), (s_b, o_b), (s_f, o_f) = (_edge_map(X) for X in images)
 
     def sig_g(x):
         return _GAMMA_G / (1.0 + np.exp(_KAPPA_G * (x - _SIGMA_G)))

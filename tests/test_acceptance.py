@@ -102,7 +102,7 @@ def test_criterion_3_row_update_beats_random_search():
         Y = rng.standard_normal((49, n_cols))
         op = init_operator(64, 49, seed=3000 + trial)
         X = np.zeros((49, n_cols))  # zero scores: J is the full column set
-        row = update_row(op, int(rng.integers(64)), Y, X, TrainConfig())
+        (row,) = update_row(op, np.array([rng.integers(64)]), Y, X, TrainConfig())
         row_obj = float(np.sum((row @ Y) ** 2))
         R = rng.standard_normal((100_000, 49))
         R /= np.linalg.norm(R, axis=1, keepdims=True)

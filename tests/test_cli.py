@@ -404,7 +404,7 @@ def test_winners_file_loads_back_to_the_winner_map(workdir, tmp_path,
     np.testing.assert_array_equal(np.unique(loaded), [0, 1])
 
 
-def test_fuse_size_mismatch_exits_2_without_outputs(workdir, tmp_path):
+def test_fuse_size_mismatch_exits_2_without_outputs(workdir, tmp_path, capsys):
     small = tmp_path / "small.pgm"
     imageio.save_pgm(small, np.zeros((32, 32)))
     out = tmp_path / "fused.pgm"
@@ -412,6 +412,7 @@ def test_fuse_size_mismatch_exits_2_without_outputs(workdir, tmp_path):
     args[args.index("--inputs") + 2] = str(small)
     rc = main(args)
     assert rc == EXIT_INPUT
+    assert "small.pgm" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "fused_winners.txt").exists()
 

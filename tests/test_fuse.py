@@ -17,8 +17,8 @@ from cosfuse.fuse import (
     diagnostics_text,
     fuse,
     local_fuse,
-    winner_map_text,
 )
+from cosfuse.linalg import matrix_text
 from cosfuse.patches import build_grid, extract_matrix
 
 
@@ -158,7 +158,7 @@ def test_local_fuse_rejects_bad_inputs(trained_operator, texture_128):
     cfg = FusionConfig()
     with pytest.raises(ValueError):
         local_fuse(trained_operator, [], cfg)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="input 1"):
         local_fuse(trained_operator, [texture_128, texture_128[:64]], cfg)
     with pytest.raises(ValueError):
         local_fuse(trained_operator, [texture_128], FusionConfig(overlap=7))
@@ -381,7 +381,7 @@ def test_sidecar_texts_golden():
         activity=np.array([[[-0.0, 1 / 3], [1e-300, 5.0], [2.0 ** 40, 7.0]]]),
         diagnostics={"b": 1 / 3, "a": 3.0, "c": -0.0, "d": 1e-300, "e": 0.1},
     )
-    assert winner_map_text(result) == "2 3\n0 1 1\n1 0 2\n"
+    assert matrix_text(result.winner_map) == "2 3\n0 1 1\n1 0 2\n"
     assert activity_text(result) == (
         "1 3\n-0 0.333333333 1e-300 5 1.09951163e+12 7\n")
     assert diagnostics_text(result) == (

@@ -372,7 +372,7 @@ def test_update_row_exact_orthogonal_complement():
     Y = np.array([[1.0, 2.0, -1.5], [0.0, 0.0, 0.0]])
     X = np.zeros((2, 3))
     op = learn.AnalysisOperator(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    row = learn.update_row(op, 0, Y, X, learn.TrainConfig())
+    (row,) = learn.update_row(op, np.array([0]), Y, X, learn.TrainConfig())
     np.testing.assert_allclose(np.abs(row), [0.0, 1.0], atol=1e-10)
 
 
@@ -380,7 +380,7 @@ def test_update_row_smallest_eigendirection():
     Y = np.array([[2.0, 0.0], [0.0, 1.0]])  # gram diag(4, 1)
     X = np.zeros((2, 2))
     op = learn.AnalysisOperator(np.eye(2))
-    row = learn.update_row(op, 1, Y, X, learn.TrainConfig())
+    (row,) = learn.update_row(op, np.array([1]), Y, X, learn.TrainConfig())
     np.testing.assert_allclose(np.abs(row), [0.0, 1.0], atol=1e-10)
 
 
@@ -391,7 +391,7 @@ def test_update_row_beats_random_search():
     X = np.zeros((m, 30))  # forces J = all columns
     op = learn.init_operator(64, m, seed=22)
     cfg = learn.TrainConfig()
-    row = learn.update_row(op, 3, Y, X, cfg)
+    (row,) = learn.update_row(op, np.array([3]), Y, X, cfg)
     assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-10)
     best = _row_objective(row, Y)
     R = rng.standard_normal((10_000, m))
@@ -411,7 +411,7 @@ def test_update_row_improves_on_previous_row(monkeypatch):
     scores = op.matrix[j] @ X
     J = np.flatnonzero(np.abs(scores) <= cfg.cosupport_tol)
     assert J.size > 0
-    row = learn.update_row(op, j, Y, X, cfg)
+    (row,) = learn.update_row(op, np.array([j]), Y, X, cfg)
     assert _row_objective(row, Y[:, J]) <= _row_objective(op.matrix[j], Y[:, J]) + 1e-12
 
 
@@ -419,7 +419,7 @@ def test_update_row_empty_set_returns_none():
     op = learn.init_operator(6, 4, seed=25)
     Y = np.ones((4, 8))
     X = np.ones((4, 8)) * 100  # no scores near zero
-    assert learn.update_row(op, 2, Y, X, learn.TrainConfig()) is None
+    assert learn.update_row(op, np.array([2]), Y, X, learn.TrainConfig()) == [None]
 
 
 def test_update_row_eigensolves_converge_on_training_grams(texture_128, cartoon_128):
@@ -443,7 +443,7 @@ def test_update_row_eigensolves_converge_on_training_grams(texture_128, cartoon_
 
 def test_update_row_rejects_bad_index():
     op = learn.init_operator(6, 4, seed=26)
-    for j in (6, -1, np.array([0, 6]), np.array([-1, 2]), np.array([[0, 1]]),
+    for j in (6, -1, 2, np.array([0, 6]), np.array([-1, 2]), np.array([[0, 1]]),
               np.array([0.0, 1.0])):
         with pytest.raises(ValueError):
             learn.update_row(op, j, np.zeros((4, 8)), np.zeros((4, 8)),
@@ -464,7 +464,7 @@ def test_update_row_index_array_equals_integer_calls(texture_128):
     assert isinstance(new, list) and len(new) == rows.size
     assert new[0] is None and new[4] is None
     for j, row in zip(rows, new):
-        one = learn.update_row(op, int(j), Y, X, cfg)
+        (one,) = learn.update_row(op, np.array([j]), Y, X, cfg)
         if one is None:
             assert row is None
         else:
