@@ -23,9 +23,9 @@ two outputs that name the same file, or an output that names a directory,
 are bad input, and nothing is written. An input image that is not a valid
 PGM is bad input too, reported with its path (``imageio.load_pgm``).
 
-The ``--threads`` flag is accepted for compatibility with data-parallel
-patch processing; computation is batched single-threaded either way, so
-results are independent of the requested thread count.
+The ``--threads`` flag has no effect yet (ROADMAP item 8); computation is
+batched single-threaded either way, so results are independent of the
+requested thread count.
 """
 
 from __future__ import annotations
@@ -273,15 +273,13 @@ def cmd_synth(ns):
 # eval
 
 def cmd_eval(ns):
-    a = imageio.load_pgm(ns.a)
-    b = imageio.load_pgm(ns.b)
-    fused = imageio.load_pgm(ns.fused)
+    paths = [ns.a, ns.b, ns.fused, *([ns.truth] if ns.truth else [])]
+    a, b, fused, *truth = _as_images([imageio.load_pgm(p) for p in paths], paths)
     values = {"q_mi": metrics.q_mi(a, b, fused),
               "q_abf": metrics.q_abf(a, b, fused)}
-    if ns.truth:
-        truth = imageio.load_pgm(ns.truth)
-        values["psnr_db"] = metrics.psnr(fused, truth)
-        values["mse"] = metrics.mse(fused, truth)
+    if truth:
+        values["psnr_db"] = metrics.psnr(fused, truth[0])
+        values["mse"] = metrics.mse(fused, truth[0])
     for key, value in values.items():
         print(f"{key}={value:.12g}")
     return EXIT_OK

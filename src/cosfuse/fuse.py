@@ -30,6 +30,7 @@ from .learn import PIXEL_SCALE, TrainConfig, _admm_counters, cosparse_code_many
 from .linalg import (
     _as_images,
     _check_setting,
+    _grid_text,
     spectral_norm_sq,  # unused; bench/tracing.py wraps this attribute
 )
 from .patches import build_grid, extract_matrix, overlap_add_matrix, patch_side
@@ -164,11 +165,8 @@ def activity_text(result):
     """Activity grid as text: a "rows cols" header, then one line per grid
     row with the K candidate activities of each cell in order."""
     rows, cols = result.activity.shape[:2]
-    flat = result.activity.reshape(rows, -1)
-    row_format = " ".join(["%.9g"] * flat.shape[1])
-    lines = [f"{rows} {cols}"]
-    lines.extend(row_format % tuple(row) for row in flat.tolist())
-    return "\n".join(lines) + "\n"
+    return _grid_text([f"{rows} {cols}"], result.activity.reshape(rows, -1),
+                      "%.9g")
 
 
 def diagnostics_text(result):

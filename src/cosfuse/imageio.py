@@ -12,6 +12,7 @@ noisy operation is reproducible from its seed argument.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -37,26 +38,18 @@ class PgmFormatError(ValueError):
         self.offset = offset
 
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# One header token: any run of whitespace and '#' comments (a comment runs
+# to the end of its line), then a run of non-whitespace, empty only at the
+# end of the data. In a bytes pattern, \s is the six ASCII whitespace bytes
+# " \t\n\r\v\f", the set ``bytes.isspace`` tests.
+_TOKEN = re.compile(rb"(?:\s+|#[^\n]*)*(\S*)")
 
 
 def _next_token(data, pos):
-    # Skip whitespace and '#' comments, then collect one token.
-    while pos < len(data):
-        ch = data[pos:pos + 1]
-        if ch in (b"#",):
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-        elif ch in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    if pos >= len(data):
-        raise PgmFormatError("unexpected end of header", pos)
-    start = pos
-    while pos < len(data) and data[pos:pos + 1] not in _WHITESPACE:
-        pos += 1
-    return data[start:pos], pos
+    match = _TOKEN.match(data, pos)
+    if not match[1]:
+        raise PgmFormatError("unexpected end of header", match.end())
+    return match[1], match.end()
 
 
 def read_pgm(data):
@@ -83,7 +76,7 @@ def read_pgm(data):
     if maxval != 255:
         raise PgmFormatError(f"unsupported maxval {maxval}, only 255 accepted",
                              pos - len(token))
-    if pos >= len(data) or data[pos:pos + 1] not in _WHITESPACE:
+    if not data[pos:pos + 1].isspace():
         raise PgmFormatError("missing whitespace before pixel payload", pos)
     pos += 1
     expected = width * height

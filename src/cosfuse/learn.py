@@ -55,7 +55,6 @@ from .linalg import (
     _as_matrix,
     _check_setting,
     clip_box,
-    gram,
     load_matrix_text,
     matrix_text,
     spectral_norm_sq,  # unused; bench/tracing.py wraps this attribute
@@ -413,7 +412,10 @@ def update_row(op, j, Y, X, cfg):
     if full.size:
         grams = np.empty((full.size, op.m, op.m))
         for g, k in zip(grams, full):
-            g[...] = gram(Y[:, orthogonal[k]])
+            # One gathered buffer times its own transpose: numpy computes
+            # that with BLAS syrk, which returns it exactly symmetric.
+            Yk = Y[:, orthogonal[k]]
+            g[...] = Yk @ Yk.T
         _, vecs = sym_eig_smallest(grams)
         for k, vec in zip(full, vecs):
             new[k] = vec

@@ -2,9 +2,9 @@
 
 Matrices and vectors are plain numpy float64 arrays (row-major). The few
 routines here are exactly what the coding and row-update stages need:
-the box clip and soft thresholding, Gram products, the smallest eigenpair
-of each matrix in a stack of symmetric matrices (LAPACK ``eigh`` behind an
-input check), the squared spectral norm, and the matrix text format.
+the box clip and soft thresholding, the smallest eigenpair of each matrix
+in a stack of symmetric matrices (LAPACK ``eigh`` behind an input check),
+the squared spectral norm, and the matrix text format.
 
 It is also the one home of the three input checks the other modules share:
 ``_as_matrix`` (a nonempty, finite, 2-d float array: an image, an
@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "clip_box",
     "soft_threshold",
-    "gram",
     "sym_eig_smallest",
     "spectral_norm_sq",
     "matrix_text",
@@ -85,17 +84,6 @@ def soft_threshold(v, tau):
     return v - clip_box(v, tau)
 
 
-def gram(M):
-    """Return M @ M.T, symmetrized exactly.
-
-    The averaging with the transpose removes any rounding asymmetry from the
-    underlying matrix product, so ``gram(M) == gram(M).T`` holds bitwise.
-    """
-    M = _as_matrix(M)
-    G = M @ M.T
-    return (G + G.T) / 2.0
-
-
 def _check_symmetric(S):
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 3 or S.size == 0:
@@ -134,15 +122,20 @@ def spectral_norm_sq(M):
     return float(np.linalg.norm(_as_matrix(M), 2) ** 2)
 
 
+def _grid_text(header_lines, M, fmt):
+    """The ``header_lines``, then one line per row of the 2-d array ``M``:
+    its entries in the printf format ``fmt``, separated by spaces."""
+    row_format = " ".join([fmt] * M.shape[1])
+    lines = [*header_lines, *(row_format % tuple(row) for row in M.tolist())]
+    return "\n".join(lines) + "\n"
+
+
 def matrix_text(M, comments=()):
     """A matrix in the text format: optional '#' comment lines, then a
     "rows cols" line, then one line of 17-significant-digit reals per row."""
     M = _as_matrix(M)
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"{M.shape[0]} {M.shape[1]}")
-    row_format = " ".join(["%.17g"] * M.shape[1])
-    lines.extend(row_format % tuple(row) for row in M.tolist())
-    return "\n".join(lines) + "\n"
+    header = [*(f"# {c}" for c in comments), f"{M.shape[0]} {M.shape[1]}"]
+    return _grid_text(header, M, "%.17g")
 
 
 def load_matrix_text(path):

@@ -45,7 +45,7 @@ def test_tracer_records_every_layer_and_uninstalls(monkeypatch, tmp_path, textur
         assert cli.main(["train", "--images", str(images), "--out", op, "--h", "16",
                          "--m", "9", "--patches", "50", "--sweeps", "1"]) == 0
         assert cli.main(["fuse", "--inputs", paths["a"], paths["b"], "--op", op,
-                         "--out", paths["fused"], "--sigma", "5"]) == 0
+                         "--out", paths["fused"], "--sigma", "5", "--p", "1"]) == 0
         assert cli.main(["eval", "--a", paths["a"], "--b", paths["b"],
                          "--fused", paths["fused"], "--truth", str(truth)]) == 0
         layers = tracing.per_run_layers(tracer.records)[0]

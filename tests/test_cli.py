@@ -172,48 +172,46 @@ def test_bad_option_values_exit_2_without_output(workdir, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag", ["--lambda-global", "--global-rounds", "--n"],
-                         ids=lambda flag: flag[2:])
-@pytest.mark.parametrize("cmd", ["fuse", "sweep"])
+# Each deleted option with the commands that reject it: the global pass's
+# two options and fuse's patch side ``n``, now the operator's (sweep never
+# had ``n`` and rejects it as any unknown option); the ADMM penalty and the
+# cosupport tolerance, now solver constants; and the pair's split column,
+# now always the middle one.
+_DELETED_OPTIONS = [
+    *((cmd, key) for key in ("lambda_global", "global_rounds", "n")
+      for cmd in ("fuse", "sweep")),
+    *((cmd, key) for key in ("mu", "cosupport_tol")
+      for cmd in ("train", "fuse", "sweep")),
+    *((cmd, "split") for cmd in ("synth", "sweep")),
+]
+
+
+@pytest.mark.parametrize("cmd,key", _DELETED_OPTIONS,
+                         ids=[f"{cmd}-{key.replace('_', '-')}"
+                              for cmd, key in _DELETED_OPTIONS])
 @pytest.mark.parametrize("given_as", ["flag", "config"])
-def test_deleted_global_options_exit_2_without_output(workdir, tmp_path, capsys,
-                                                      flag, cmd, given_as):
-    """The global pass is gone with its two options, and fuse's patch side
-    ``n``, which is now the operator's: each one, given as a flag or as a
-    config key, is bad input, and nothing is written. (sweep never had
-    ``n``; it rejects it as it does any unknown option.)"""
+def test_deleted_option_exits_2_without_output(workdir, tmp_path, capsys,
+                                               given_as, cmd, key):
+    """A deleted option, given as a flag or as a config key, is bad input:
+    stderr names it, and nothing is written."""
     outdir = tmp_path / "out"
     outdir.mkdir()
-    argv = _command_argv(workdir, cmd, outdir / "out.txt")
-    key = flag[2:].replace("-", "_")
+    if cmd == "synth":
+        argv = ["synth", "--truth", str(workdir["truth"]),
+                "--out-truth", str(outdir / "t.pgm"),
+                "--out-a", str(outdir / "a.pgm"), "--out-b", str(outdir / "b.pgm")]
+    else:
+        argv = _command_argv(workdir, cmd, outdir / "out.txt")
+    flag = "--" + key.replace("_", "-")
     if given_as == "flag":
-        argv += [flag, "0"]
+        argv += [flag, "1"]
     else:
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = 0\n")
+        cfg.write_text(f"{key} = 1\n")
         argv += ["--config", str(cfg)]
     assert main(argv) == EXIT_INPUT
     captured = capsys.readouterr()
     assert (flag if given_as == "flag" else repr(key)) in captured.err
-    assert captured.out == ""
-    assert list(outdir.iterdir()) == []
-
-
-@pytest.mark.parametrize("cmd,key", [
-    pytest.param(cmd, key, id=cmd if key == "mu" else f"{cmd}-{key}")
-    for key in ("mu", "cosupport_tol") for cmd in ("train", "fuse", "sweep")])
-def test_mu_config_key_exits_2_without_output(workdir, tmp_path, capsys, cmd, key):
-    """The ADMM penalty and the cosupport tolerance are constants of the
-    solver, not options: a config file that sets ``mu`` or ``cosupport_tol``
-    is bad input, and nothing is written."""
-    outdir = tmp_path / "out"
-    outdir.mkdir()
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key} = 1\n")
-    argv = _command_argv(workdir, cmd, outdir / "out.txt")
-    assert main([*argv, "--config", str(cfg)]) == EXIT_INPUT
-    captured = capsys.readouterr()
-    assert repr(key) in captured.err
     assert captured.out == ""
     assert list(outdir.iterdir()) == []
 
@@ -325,33 +323,6 @@ def test_synth_splits_at_the_middle_column(workdir, tmp_path):
         pair = imageio.synth_multifocus(truth, 2.0, truth.shape[1] // 2)
         for path, image in zip(paths[1:], pair):
             assert path.read_bytes() == imageio.write_pgm(image), truth_path.name
-
-
-@pytest.mark.parametrize("cmd", ["synth", "sweep"])
-@pytest.mark.parametrize("given_as", ["flag", "config"])
-def test_split_option_exits_2_without_output(workdir, tmp_path, capsys,
-                                             cmd, given_as):
-    """The pair always splits at the middle column: ``split``, given as a
-    flag or as a config key, is bad input, and nothing is written."""
-    outdir = tmp_path / "out"
-    outdir.mkdir()
-    if cmd == "synth":
-        argv = ["synth", "--truth", str(workdir["truth"]),
-                "--out-truth", str(outdir / "t.pgm"),
-                "--out-a", str(outdir / "a.pgm"), "--out-b", str(outdir / "b.pgm")]
-    else:
-        argv = _command_argv(workdir, cmd, outdir / "out.txt")
-    if given_as == "flag":
-        argv += ["--split", "8"]
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("split = 8\n")
-        argv += ["--config", str(cfg)]
-    assert main(argv) == EXIT_INPUT
-    captured = capsys.readouterr()
-    assert ("--split" if given_as == "flag" else "'split'") in captured.err
-    assert captured.out == ""
-    assert list(outdir.iterdir()) == []
 
 
 def test_synth_writes_three_images(workdir, tmp_path):
@@ -508,6 +479,17 @@ def test_eval_malformed_input_exits_2_naming_it(workdir, tmp_path, capsys):
     assert main(["eval", "--a", str(bad), "--b", t, "--fused", t]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.err.count(str(bad)) == 1
+    assert captured.out == ""
+
+
+def test_eval_truth_of_another_size_exits_2_naming_it(workdir, tmp_path, capsys):
+    small = tmp_path / "small.pgm"
+    imageio.save_pgm(small, np.zeros((16, 16)))
+    t = str(workdir["truth"])
+    args = ["eval", "--a", t, "--b", t, "--fused", t, "--truth", str(small)]
+    assert main(args) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert str(small) in captured.err
     assert captured.out == ""
 
 

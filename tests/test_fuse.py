@@ -80,7 +80,7 @@ def test_activity_rejects_wrong_length(random_operator):
 # local_fuse
 
 def test_local_fuse_identity_on_identical_clean_inputs(trained_operator, texture_128):
-    cfg = FusionConfig(lambda_local=0.0)
+    cfg = FusionConfig(lambda_local=0.0, overlap=1)
     result = local_fuse(trained_operator, [texture_128, texture_128], cfg)
     assert np.abs(result.fused - texture_128).max() < 1e-8
     assert result.winner_map.shape == (22, 22)
@@ -93,7 +93,7 @@ def test_select_patch_tie_breaks_to_smallest_index(random_operator):
     # give equal, nonzero activities in every cell, and source 0 wins each.
     image = np.random.default_rng(3).uniform(0, 255, (25, 25))
     result = local_fuse(random_operator, [image.copy() for _ in range(3)],
-                        FusionConfig())
+                        FusionConfig(overlap=1))
     acts = result.activity
     assert acts.shape == (4, 4, 3)
     assert np.all(acts[..., 0] > 0.0)
@@ -127,7 +127,7 @@ def test_later_input_equal_to_the_leader_does_not_take_its_cells(random_operator
 
 def test_local_fuse_winner_map_matches_activity_oracle(trained_operator, texture_128):
     a, b = imageio.synth_multifocus(texture_128, 2.0, split=64)
-    cfg = FusionConfig()
+    cfg = FusionConfig(overlap=1)
     result = local_fuse(trained_operator, [a, b], cfg)
     grid = build_grid(128, 128, 7, cfg.overlap)
     assert result.winner_map.shape == (grid.grid_rows, grid.grid_cols)
@@ -206,7 +206,7 @@ def test_fuse_output_range_and_diagnostics(trained_operator, texture_128):
     a, b = imageio.synth_multifocus(texture_128, 2.0, split=64)
     a = imageio.add_gaussian_noise(a, 20.0, seed=7)
     b = imageio.add_gaussian_noise(b, 20.0, seed=8)
-    result = fuse([a, b], trained_operator, FusionConfig())
+    result = fuse([a, b], trained_operator, FusionConfig(overlap=1))
     assert result.fused.min() >= 0.0 and result.fused.max() <= 255.0
     assert result.activity.shape == (22, 22, 2)
     assert np.all((result.winner_map >= 0) & (result.winner_map < 2))

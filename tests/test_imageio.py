@@ -50,13 +50,51 @@ def test_pgm_write_clamps_and_rounds():
     np.testing.assert_array_equal(out, [[0.0, 255.0], [1.0, 2.0]])
 
 
+_INTEGER_IMAGES = hnp.arrays(
+    np.int64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+    elements=st.integers(min_value=0, max_value=255))
+
+# One of the six PGM whitespace bytes, and a '#' comment line: any bytes but
+# a newline, then the newline that ends it.
+_PGM_SPACE = st.sampled_from([bytes([c]) for c in b" \t\n\r\x0b\x0c"])
+_PGM_COMMENT = st.binary(max_size=8).map(
+    lambda text: b"#" + text.replace(b"\n", b"") + b"\n")
+# What may stand between two header tokens: a whitespace byte (a '#' right
+# after a token would be part of it), then any runs of whitespace and
+# comment lines.
+_PGM_SEPARATOR = st.tuples(
+    _PGM_SPACE, st.lists(st.one_of(_PGM_SPACE, _PGM_COMMENT), max_size=4),
+).map(lambda parts: parts[0] + b"".join(parts[1]))
+
+
 @settings(max_examples=30, deadline=None)
-@given(hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2,
-                                             min_side=1, max_side=12),
-                  elements=st.integers(min_value=0, max_value=255)))
+@given(_INTEGER_IMAGES)
 def test_pgm_round_trip_random_integer_images(values):
     img = values.astype(np.float64)
     np.testing.assert_array_equal(imageio.read_pgm(imageio.write_pgm(img)), img)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_INTEGER_IMAGES, st.lists(_PGM_SEPARATOR, min_size=3, max_size=3),
+       _PGM_SPACE)
+def test_pgm_header_separators_and_comments(values, separators, last):
+    """Whitespace runs and comment lines between the header tokens, and any
+    one whitespace byte before the payload, decode to the image that
+    ``write_pgm``'s canonical header gives."""
+    canonical = imageio.write_pgm(values.astype(np.float64))
+    height, width = values.shape
+    tokens = [b"P5", b"%d" % width, b"%d" % height, b"255"]
+    header = b"".join(t + sep for t, sep in zip(tokens, [*separators, last]))
+    payload = canonical[-values.size:]
+    np.testing.assert_array_equal(imageio.read_pgm(header + payload),
+                                  imageio.read_pgm(canonical))
+
+
+def test_pgm_comment_running_to_the_end_of_the_data():
+    data = b"P5\n2 2\n# no newline, no maxval"
+    with pytest.raises(imageio.PgmFormatError, match="unexpected end of header") as err:
+        imageio.read_pgm(data)
+    assert err.value.offset == len(data)
 
 
 def test_pgm_file_helpers(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import inf_in_first_column_on_third_call, make_planted_clusters
 from cosfuse import imageio, learn
 from cosfuse.fuse import FusionConfig
-from cosfuse.linalg import gram, soft_threshold, sym_eig_smallest
+from cosfuse.linalg import soft_threshold, sym_eig_smallest
 
 
 def _objective(W, x, y, lam):
@@ -436,7 +436,8 @@ def test_update_row_eigensolves_converge_on_training_grams(texture_128, cartoon_
     for j in range(op.h):
         J = np.flatnonzero(np.abs(op.matrix[j] @ X) <= cfg.cosupport_tol)
         assert J.size > 0
-        S = gram(Y[:, J])
+        YJ = Y[:, J]
+        S = YJ @ YJ.T
         (lam,), (vec,) = sym_eig_smallest(S[None])
         assert np.linalg.norm(S @ vec - lam * vec) <= 1e-12 * np.linalg.norm(S)
 
@@ -703,7 +704,8 @@ def _per_row_reference_train(Y, cfg, h):
         count = 0
         for j in range(h):
             J = np.flatnonzero(np.abs(op.matrix[j] @ X) <= cfg.cosupport_tol)
-            row = sym_eig_smallest(gram(Y[:, J])[None])[1][0] if J.size else None
+            YJ = Y[:, J]  # gathered once: YJ @ YJ.T is one exactly symmetric syrk
+            row = sym_eig_smallest((YJ @ YJ.T)[None])[1][0] if J.size else None
             if (row is None or np.abs(np.delete(op.matrix, j, axis=0) @ row).max()
                     > learn.DUPLICATE_ROW_COSINE):
                 row = learn._random_unit_row(reinit_rng, Y.shape[0])

@@ -59,46 +59,13 @@ def test_soft_threshold_nonexpansive(a, b, tau):
 
 
 # ---------------------------------------------------------------------------
-# gram
-
-def test_gram_identity():
-    np.testing.assert_array_equal(linalg.gram(np.eye(2)), np.eye(2))
-
-
-def test_gram_single_column_outer_product():
-    a, b = 2.0, -3.0
-    M = np.array([[a], [b]])
-    np.testing.assert_allclose(linalg.gram(M), [[a * a, a * b], [a * b, b * b]])
-
-
-def test_gram_matches_naive_triple_loop():
-    rng = np.random.default_rng(42)
-    M = rng.standard_normal((5, 8))
-    expected = np.zeros((5, 5))
-    for i in range(5):
-        for j in range(5):
-            acc = 0.0
-            for k in range(8):
-                acc += M[i, k] * M[j, k]
-            expected[i, j] = acc
-    np.testing.assert_allclose(linalg.gram(M), expected, rtol=1e-12)
-
-
-def test_gram_exactly_symmetric():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        G = linalg.gram(rng.standard_normal((9, 13)))
-        np.testing.assert_array_equal(G, G.T)
-
-
-def test_gram_positive_semidefinite():
-    rng = np.random.default_rng(3)
-    G = linalg.gram(rng.standard_normal((6, 4)))
-    assert np.linalg.eigvalsh(G).min() > -1e-10
-
-
-# ---------------------------------------------------------------------------
 # sym_eig_smallest
+
+def _gram(M):
+    """M times its own transpose: one buffer, so numpy's product is BLAS
+    syrk and the result is exactly symmetric."""
+    return M @ M.T
+
 
 def _shifted_power_iteration_smallest(S, iters=20_000, seed=0):
     """Independent oracle: power iteration on (shift*I - S) finds the
@@ -135,7 +102,7 @@ def test_sym_eig_smallest_closed_form_2x2():
 def test_sym_eig_smallest_matches_shifted_power_iteration():
     rng = np.random.default_rng(11)
     for trial in range(5):
-        S = linalg.gram(rng.standard_normal((6, 9)))
+        S = _gram(rng.standard_normal((6, 9)))
         (lam,), (vec,) = linalg.sym_eig_smallest(S[None])
         lam_ref, _ = _shifted_power_iteration_smallest(S, seed=trial)
         assert lam == pytest.approx(lam_ref, abs=1e-8 * np.linalg.norm(S))
@@ -154,7 +121,7 @@ def test_sym_eig_residual_up_to_64():
 
 def test_sym_eig_smallest_is_lower_bound_on_rayleigh():
     rng = np.random.default_rng(9)
-    S = linalg.gram(rng.standard_normal((12, 20)))
+    S = _gram(rng.standard_normal((12, 20)))
     (lam,), _ = linalg.sym_eig_smallest(S[None])
     U = rng.standard_normal((1000, 12))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
@@ -181,8 +148,8 @@ def test_sym_eig_smallest_stack_is_bit_equal_to_per_matrix_calls(m):
     stack = []
     for cols in (m // 2, m, 3 * m):
         M = rng.standard_normal((m, cols))
-        stack.append(linalg.gram(M - M.mean(axis=0)))
-        stack.append(linalg.gram(M) * 10.0 ** rng.integers(-3, 4))
+        stack.append(_gram(M - M.mean(axis=0)))
+        stack.append(_gram(M) * 10.0 ** rng.integers(-3, 4))
     lams, vecs = linalg.sym_eig_smallest(np.stack(stack))
     assert lams.shape == (len(stack),) and vecs.shape == (len(stack), m)
     for S, lam, vec in zip(stack, lams, vecs):
@@ -195,7 +162,7 @@ def test_sym_eig_smallest_stack_vectors_own_their_memory():
     """The stacked eigenvectors are a k-by-m copy, not a view that keeps
     LAPACK's k-by-m-by-m output alive."""
     rng = np.random.default_rng(9)
-    stack = np.stack([linalg.gram(rng.standard_normal((6, 10))) for _ in range(4)])
+    stack = np.stack([_gram(rng.standard_normal((6, 10))) for _ in range(4)])
     _, vecs = linalg.sym_eig_smallest(stack)
     assert vecs.base is None and vecs.flags.owndata
     assert vecs.shape == (4, 6)
@@ -203,7 +170,7 @@ def test_sym_eig_smallest_stack_vectors_own_their_memory():
 
 def test_sym_eig_smallest_stack_checks_every_matrix():
     rng = np.random.default_rng(8)
-    good = linalg.gram(rng.standard_normal((5, 9)))
+    good = _gram(rng.standard_normal((5, 9)))
     asymmetric = good.copy()
     asymmetric[0, 1] += 1e-6 * np.abs(good).max()
     non_finite = good.copy()
@@ -237,7 +204,7 @@ def test_spectral_norm_sq_matches_jacobi_on_gram():
     rng = np.random.default_rng(21)
     for _ in range(5):
         M = rng.standard_normal((10, 7))
-        w, _ = np.linalg.eigh(linalg.gram(M.T))
+        w, _ = np.linalg.eigh(_gram(M.T))
         assert linalg.spectral_norm_sq(M) == pytest.approx(w[-1], rel=1e-6)
 
 
