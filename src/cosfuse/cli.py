@@ -23,7 +23,7 @@ two outputs that name the same file, or an output that names a directory,
 are bad input, and nothing is written. An input image that is not a valid
 PGM is bad input too, reported with its path (``imageio.load_pgm``).
 
-The ``--threads`` flag has no effect yet (ROADMAP item 8); computation is
+The ``--threads`` flag has no effect yet (ROADMAP item 9); computation is
 batched single-threaded either way, so results are independent of the
 requested thread count.
 """

@@ -38,11 +38,16 @@ class PgmFormatError(ValueError):
         self.offset = offset
 
 
-# One header token: any run of whitespace and '#' comments (a comment runs
-# to the end of its line), then a run of non-whitespace, empty only at the
-# end of the data. In a bytes pattern, \s is the six ASCII whitespace bytes
-# " \t\n\r\v\f", the set ``bytes.isspace`` tests.
-_TOKEN = re.compile(rb"(?:\s+|#[^\n]*)*(\S*)")
+# As in netpbm, a '#' comment runs to the next CR or LF wherever it starts
+# in the header, even inside a token, which it ends.
+_COMMENT = rb"#[^\r\n]*"
+# One header token: any run of whitespace and comments, then a run of bytes
+# that are neither whitespace nor '#', empty only at the end of the data. In
+# a bytes pattern, \s is the six ASCII whitespace bytes " \t\n\r\v\f", the
+# set ``bytes.isspace`` tests.
+_TOKEN = re.compile(rb"(?:\s+|" + _COMMENT + rb")*([^\s#]*)")
+# What may follow maxval before the one whitespace byte ahead of the payload.
+_MAXVAL_END = re.compile(rb"(?:" + _COMMENT + rb")?")
 
 
 def _next_token(data, pos):
@@ -76,6 +81,8 @@ def read_pgm(data):
     if maxval != 255:
         raise PgmFormatError(f"unsupported maxval {maxval}, only 255 accepted",
                              pos - len(token))
+    # A comment straight after maxval: its CR or LF precedes the payload.
+    pos = _MAXVAL_END.match(data, pos).end()
     if not data[pos:pos + 1].isspace():
         raise PgmFormatError("missing whitespace before pixel payload", pos)
     pos += 1

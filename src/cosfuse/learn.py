@@ -20,12 +20,13 @@ columns):
   reduce to one projection: the new -d is W x - d clipped to the box
   [-lam/mu, lam/mu], v is what the clip cut off, and the primal residual
   W x - v is the change in -d. So the loop carries only W y - v - d and the
-  clipped dual, and forms v and d when a column retires: as soon as its
-  primal residual reaches the tolerance, or at the iteration cap. The
-  working state is signal-major: one C-ordered N-by-h array per quantity,
-  a row per signal, kept in that order for the whole call and written into
-  buffers that are reused from trip to trip. Retired columns ride along in
-  the working arrays until fewer than half of them are live, and are then
+  clipped dual, and never forms v or d: a column returns x, its last primal
+  residual and its iteration count when it retires, as soon as its primal
+  residual reaches the tolerance, or at the iteration cap. The working
+  state is signal-major: one C-ordered N-by-h array per quantity, a row per
+  signal, kept in that order for the whole call and written into buffers
+  that are reused from trip to trip. Retired columns ride along in the
+  working arrays until fewer than half of them are live, and are then
   dropped in one compaction, a gather of the live rows.
 * row update: for each operator row w, collect the coded columns nearly
   orthogonal to it and replace w with the unit vector minimizing the summed
@@ -243,9 +244,12 @@ def sample_training_patches(images, n, count, seed):
 def cosparse_code_many(op, Y, cfg):
     """ADMM cosparse coding of every column of Y against the operator W.
 
-    Returns (X, V, D, primal residuals, iterations used). The loop iterates
-    on s = W x rather than on x. With u = v + d and mu = ``cfg.mu`` = 1, the
-    exact x-step x = A^-1 (y + mu W^T u), A = I + mu W^T W, is the correction
+    Returns (X, None, None, primal residuals, iterations used). The two
+    None slots hold nothing: they stay only while ``bench/tracing.py``
+    unpacks five fields, and ROADMAP item 10 removes them when it refreshes
+    the tracer. The loop iterates on s = W x rather than on x. With
+    u = v + d and mu = ``cfg.mu`` = 1, the exact x-step
+    x = A^-1 (y + mu W^T u), A = I + mu W^T W, is the correction
     x = y - M T with T = z - u, z = W y and M = mu A^-1 W^T, so
     W x = z - K T with K = W M. A, M, K and Z = W Y are formed once per call.
 
@@ -253,7 +257,7 @@ def cosparse_code_many(op, Y, cfg):
     2011, section 6.4) are one projection onto the box [-tau, tau],
     tau = lam / mu. With C = -d and P = W x + C, the new C is clip(P), the
     new v is P - C and the primal residual W x - v is C - C_prev. The loop
-    therefore carries (T, C) alone, and the next T is
+    therefore carries (T, C) alone, never forms v or d, and the next T is
     K T + C + (C - C_prev). A trip costs one h-by-h product per working
     column, against 2hm + 2m^2 for iterating on x (less whenever
     h < (1 + sqrt 3) m), and seven elementwise passes over the h-wide
@@ -268,20 +272,20 @@ def cosparse_code_many(op, Y, cfg):
     product. ``clip_box`` is given the h-by-N view P^T.
 
     A column retires as soon as its primal residual ||W x - v|| drops to
-    ``cfg.admm_tol``, or at ``cfg.max_admm_iters``. Its x = y - M T, v and
-    d = -C are written then, from that trip's state, found by one
-    ``flatnonzero`` and gathered row by row. A retired column rides along
-    in the working arrays, its further trips unread, until fewer than half
-    of the working columns are live; then the live rows are gathered into
-    new, smaller arrays, which keep the same memory order. So each column
-    behaves as if it were solved on its own, and the gathers happen a few
-    times per call, not at every retirement. X, V and D are m-by-N and
-    h-by-N views of N-row arrays, so a retiring column is one row write.
+    ``cfg.admm_tol``, or at ``cfg.max_admm_iters``. Its x = y - M T is
+    written then, from that trip's state, found by one ``flatnonzero`` and
+    gathered row by row. A retired column rides along in the working
+    arrays, its further trips unread, until fewer than half of the working
+    columns are live; then the live rows are gathered into new, smaller
+    arrays, which keep the same memory order. So each column behaves as if
+    it were solved on its own, and the gathers happen a few times per call,
+    not at every retirement. X is the m-by-N view of an N-row array, so a
+    retiring column is one row write.
     A column whose state turns non-finite keeps a non-finite T (K has a
     positive diagonal), so its x at retirement is non-finite and raises
     ``NumericalFailure``.
 
-    The iteration starts from V = W Y and D = 0 (T = 0, C = 0), so at
+    The iteration starts from v = W y and d = 0 (T = 0, C = 0), so at
     lam = 0 the first trip gives x = y exactly. An empty Y returns empty
     results at once.
     """
@@ -292,17 +296,15 @@ def cosparse_code_many(op, Y, cfg):
         raise ValueError("Y contains non-finite entries")
     W, lam, mu = op.matrix, cfg.lam, cfg.mu
     max_admm_iters, admm_tol = cfg.max_admm_iters, cfg.admm_tol
-    h, m = W.shape
+    m = W.shape[1]
     if Y.shape[0] != m:
         raise ValueError(f"signals have dimension {Y.shape[0]}, operator expects {m}")
     n_cols = Y.shape[1]
     X = np.empty((n_cols, m)).T
-    V = np.empty((n_cols, h)).T
-    D = np.empty((n_cols, h)).T
     residual = np.empty(n_cols)
     iterations = np.empty(n_cols, dtype=np.int64)
     if n_cols == 0:
-        return X, V, D, residual, iterations
+        return X, None, None, residual, iterations
     A = np.eye(m) + mu * (W.T @ W)
     M = mu * (np.linalg.inv(A) @ W.T)
     K = W @ M
@@ -339,9 +341,6 @@ def cosparse_code_many(op, Y, cfg):
                 if not np.isfinite(Xd).all():
                     raise NumericalFailure("cosparse coding diverged", t)
                 X.T[cols] = Xd
-                Cd = Cn[done]
-                V.T[cols] = P[done] - Cd
-                D.T[cols] = -Cd
                 residual[cols] = r[done]
                 iterations[cols] = t
                 live[done] = False
@@ -360,7 +359,7 @@ def cosparse_code_many(op, Y, cfg):
                 idx, Za, T, C = idx[keep], Za[keep], T[keep], C[keep]
                 KT, P = np.empty_like(T), np.empty_like(T)
                 live = np.ones(n_live, bool)
-    return X, V, D, residual, iterations
+    return X, None, None, residual, iterations
 
 
 def _admm_counters(residual, iterations, cfg):
@@ -416,8 +415,7 @@ def update_row(op, j, Y, X, cfg):
             # that with BLAS syrk, which returns it exactly symmetric.
             Yk = Y[:, orthogonal[k]]
             g[...] = Yk @ Yk.T
-        _, vecs = sym_eig_smallest(grams)
-        for k, vec in zip(full, vecs):
+        for k, vec in zip(full, sym_eig_smallest(grams)):
             new[k] = vec
     return new
 

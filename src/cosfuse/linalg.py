@@ -2,9 +2,10 @@
 
 Matrices and vectors are plain numpy float64 arrays (row-major). The few
 routines here are exactly what the coding and row-update stages need:
-the box clip and soft thresholding, the smallest eigenpair of each matrix
-in a stack of symmetric matrices (LAPACK ``eigh`` behind an input check),
-the squared spectral norm, and the matrix text format.
+the box clip and soft thresholding, the eigenvector of the smallest
+eigenvalue of each matrix in a stack of symmetric matrices (LAPACK ``eigh``
+behind an input check), the squared spectral norm, and the matrix text
+format.
 
 It is also the one home of the three input checks the other modules share:
 ``_as_matrix`` (a nonempty, finite, 2-d float array: an image, an
@@ -101,20 +102,21 @@ def _check_symmetric(S):
 
 
 def sym_eig_smallest(S):
-    """Smallest eigenpair of each matrix in a k-by-m-by-m stack of symmetric
-    matrices (one LAPACK ``eigh`` call).
+    """Eigenvector of the smallest eigenvalue of each matrix in a
+    k-by-m-by-m stack of symmetric matrices (one LAPACK ``eigh`` call).
 
-    Returns (the k eigenvalues, a k-by-m array whose row i is matrix i's
-    unit eigenvector, in its own memory), each bit-equal to a call on a
-    stack of that matrix alone. For degenerate spectra any minimizing
+    Returns a k-by-m array, in its own memory, whose row i is matrix i's
+    unit eigenvector, bit-equal to a call on a stack of that matrix alone.
+    The eigenvalues are not returned: the row update, the one caller, needs
+    only the vectors. For degenerate spectra any minimizing
     eigenvector may be returned. Raises ``ValueError`` if ``S`` is not such
     a stack or any matrix is non-finite or asymmetric (relative to its own
     largest entry), and ``numpy.linalg.LinAlgError`` if LAPACK does not
     converge.
     """
     S = _check_symmetric(S)
-    w, V = np.linalg.eigh(S)
-    return w[:, 0], V[:, :, 0].copy()  # a view would pin all of V
+    _, V = np.linalg.eigh(S)
+    return V[:, :, 0].copy()  # a view would pin all of V
 
 
 def spectral_norm_sq(M):

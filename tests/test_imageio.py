@@ -54,17 +54,17 @@ _INTEGER_IMAGES = hnp.arrays(
     np.int64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
     elements=st.integers(min_value=0, max_value=255))
 
-# One of the six PGM whitespace bytes, and a '#' comment line: any bytes but
-# a newline, then the newline that ends it.
+# One of the six PGM whitespace bytes, and a '#' comment: any bytes but CR
+# and LF, then the CR or LF that ends it.
 _PGM_SPACE = st.sampled_from([bytes([c]) for c in b" \t\n\r\x0b\x0c"])
-_PGM_COMMENT = st.binary(max_size=8).map(
-    lambda text: b"#" + text.replace(b"\n", b"") + b"\n")
-# What may stand between two header tokens: a whitespace byte (a '#' right
-# after a token would be part of it), then any runs of whitespace and
-# comment lines.
-_PGM_SEPARATOR = st.tuples(
-    _PGM_SPACE, st.lists(st.one_of(_PGM_SPACE, _PGM_COMMENT), max_size=4),
-).map(lambda parts: parts[0] + b"".join(parts[1]))
+_PGM_COMMENT = st.tuples(
+    st.binary(max_size=8), st.sampled_from([b"\n", b"\r"]),
+).map(lambda parts: (b"#" + parts[0].replace(b"\n", b"").replace(b"\r", b"")
+                     + parts[1]))
+# What may stand between two header tokens: any nonempty run of whitespace
+# and comments. A comment ends a token, so it may follow one directly.
+_PGM_SEPARATOR = st.lists(st.one_of(_PGM_SPACE, _PGM_COMMENT),
+                          min_size=1, max_size=5).map(b"".join)
 
 
 @settings(max_examples=30, deadline=None)
@@ -88,6 +88,26 @@ def test_pgm_header_separators_and_comments(values, separators, last):
     payload = canonical[-values.size:]
     np.testing.assert_array_equal(imageio.read_pgm(header + payload),
                                   imageio.read_pgm(canonical))
+
+
+@pytest.mark.parametrize("data", [
+    b"P5 2#c\n2 255\n" + bytes([1, 2, 3, 4]),
+    b"P5\n2 2\n255#c\n" + bytes([1, 2, 3, 4]),
+    b"P5\n#c\r2 2\n255\n" + bytes([1, 2, 3, 4]),
+    b"P5#c\r2\r\n#\n2#\n255#c\r" + bytes([1, 2, 3, 4]),
+], ids=["in-width", "after-maxval", "ended-by-cr", "after-every-token"])
+def test_pgm_comment_inside_a_token_or_ended_by_cr(data):
+    """As in netpbm, a comment runs from '#' to the next CR or LF, even
+    inside a token, which it ends; after maxval, its CR or LF is the byte
+    before the payload."""
+    np.testing.assert_array_equal(imageio.read_pgm(data), [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_pgm_comment_after_maxval_needs_its_line_end():
+    data = b"P5\n2 2\n255#c" + bytes(4)
+    with pytest.raises(imageio.PgmFormatError, match="missing whitespace") as err:
+        imageio.read_pgm(data)
+    assert err.value.offset == len(data)
 
 
 def test_pgm_comment_running_to_the_end_of_the_data():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conftest import inf_in_first_column_on_third_call, make_planted_clusters
 from cosfuse import imageio, learn
 from cosfuse.fuse import FusionConfig
 from cosfuse.linalg import soft_threshold, sym_eig_smallest
+from cosfuse.patches import build_grid, extract_matrix
 
 
 def _objective(W, x, y, lam):
@@ -139,11 +141,9 @@ def test_code_residual_below_tol_on_early_exit():
     op = learn.init_operator(24, 16, seed=10)
     cfg = learn.TrainConfig(lam=0.05)
     y = np.random.default_rng(11).standard_normal(16)
-    _, V, D, resid, iters = learn.cosparse_code_many(op, y[:, None], cfg)
+    _, _, _, resid, iters = learn.cosparse_code_many(op, y[:, None], cfg)
     assert iters[0] < cfg.max_admm_iters
     assert resid[0] <= cfg.admm_tol
-    assert V[:, 0].shape == (24,)
-    assert D[:, 0].shape == (24,)
 
 
 def test_code_rejects_wrong_length():
@@ -157,7 +157,7 @@ def test_batch_coding_agrees_with_single():
     op = learn.init_operator(20, 16, seed=13)
     cfg = learn.TrainConfig(lam=0.1)
     Y = rng.standard_normal((16, 7))
-    X, V, D, resid, iters = learn.cosparse_code_many(op, Y, cfg)
+    X, _, _, resid, iters = learn.cosparse_code_many(op, Y, cfg)
     for i in range(7):
         x, _, _, _, it = learn.cosparse_code_many(op, Y[:, i][:, None], cfg)
         np.testing.assert_allclose(X[:, i], x[:, 0], atol=1e-8)
@@ -169,20 +169,13 @@ def test_batch_columns_capped_at_max_iters_keep_last_residual():
     op = learn.init_operator(20, 16, seed=13)
     cfg = learn.TrainConfig(lam=0.1, max_admm_iters=3)
     Y = rng.standard_normal((16, 9))
-    X, V, D, resid, iters = learn.cosparse_code_many(op, Y, cfg)
+    X, _, _, resid, iters = learn.cosparse_code_many(op, Y, cfg)
     np.testing.assert_array_equal(iters, 3)
     assert np.all(resid > cfg.admm_tol)
-    # The reported residual is that of the returned (x, v), the last iterate.
-    np.testing.assert_allclose(
-        resid, np.linalg.norm(op.matrix @ X - V, axis=0), rtol=1e-12)
 
-    # The same holds for columns that converge: each x is formed when its
-    # column retires, from that iteration's state, not a later one's.
     cfg = learn.TrainConfig(lam=0.1)
-    X, V, D, resid, iters = learn.cosparse_code_many(op, Y, cfg)
+    X, _, _, resid, iters = learn.cosparse_code_many(op, Y, cfg)
     assert np.all(resid <= cfg.admm_tol) and np.all(iters < cfg.max_admm_iters)
-    np.testing.assert_allclose(
-        resid, np.linalg.norm(op.matrix @ X - V, axis=0), rtol=0, atol=1e-12)
 
 
 def test_batch_iteration_counts_match_single_column_solves():
@@ -191,7 +184,7 @@ def test_batch_iteration_counts_match_single_column_solves():
     cfg = learn.TrainConfig(lam=0.1)
     # Scaled columns converge after different numbers of iterations.
     Y = rng.standard_normal((16, 12)) * np.geomspace(0.2, 5.0, 12)
-    X, V, D, resid, iters = learn.cosparse_code_many(op, Y, cfg)
+    X, _, _, resid, iters = learn.cosparse_code_many(op, Y, cfg)
     assert len(np.unique(iters)) >= 4
     assert np.all(resid <= cfg.admm_tol)
     for i in range(Y.shape[1]):
@@ -238,11 +231,10 @@ def test_batch_empty_returns_at_once(monkeypatch):
         return clip_box(v, tau)
 
     monkeypatch.setattr(learn, "clip_box", counted)
-    X, V, D, resid, iters = learn.cosparse_code_many(op, np.zeros((16, 0)),
+    X, _, _, resid, iters = learn.cosparse_code_many(op, np.zeros((16, 0)),
                                                      learn.TrainConfig())
     assert not calls
-    assert [a.shape for a in (X, V, D, resid, iters)] == [
-        (16, 0), (20, 0), (20, 0), (0,), (0,)]
+    assert [a.shape for a in (X, resid, iters)] == [(16, 0), (0,), (0,)]
 
 
 def test_mu_is_a_solver_constant():
@@ -263,20 +255,46 @@ def test_mu_is_a_solver_constant():
 
 @pytest.mark.parametrize("lam,max_iters", [
     (0.1, 1000), (0.05, 1000), (0.3, 1000), (0.2, 3)])
-def test_batch_dual_lies_in_its_box(lam, max_iters):
-    """Every returned D lies in [-lam, lam] (the box [-lam/mu, lam/mu] at the
-    solver's mu = 1), and wherever v is nonzero D sits on the face opposite
-    v's sign: the v-step's optimality condition, exactly, for converged and
-    capped columns alike."""
+def test_batch_columns_equal_runs_capped_at_their_iterations(lam, max_iters):
+    """Each column's x and residual are those of the trip it retires on,
+    not a later one's: the same batch capped at that column's iteration
+    count returns them within 1e-12, for converged and capped columns
+    alike. And that x is the iterate of the exact-step reference ADMM run
+    for exactly as many trips."""
     rng = np.random.default_rng(26)
     op = learn.init_operator(20, 16, seed=13)
     cfg = learn.TrainConfig(lam=lam, max_admm_iters=max_iters)
     Y = rng.standard_normal((16, 30)) * np.geomspace(0.2, 5.0, 30)
-    _, V, D, _, _ = learn.cosparse_code_many(op, Y, cfg)
-    assert np.all(np.abs(D) <= lam)
-    nonzero = V != 0
-    assert nonzero.any()
-    np.testing.assert_array_equal(D[nonzero], -np.sign(V[nonzero]) * lam)
+    X, _, _, resid, iters = learn.cosparse_code_many(op, Y, cfg)
+    for cap in np.unique(iters):
+        capped = dataclasses.replace(cfg, max_admm_iters=int(cap))
+        Xc, _, _, resid_c, _ = learn.cosparse_code_many(op, Y, capped)
+        cols = iters == cap
+        np.testing.assert_allclose(X[:, cols], Xc[:, cols], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(resid[cols], resid_c[cols], rtol=0, atol=1e-12)
+    for i in range(Y.shape[1]):
+        x_ref = admm_direct_oracle(op.matrix, Y[:, i], lam, cfg.mu, iters[i], 0.0)
+        np.testing.assert_allclose(X[:, i], x_ref, rtol=0, atol=1e-12)
+
+
+def test_batch_holds_seven_working_arrays(trained_operator, texture_128):
+    """The coder allocates no v or d: coding the 1,764 centred 7x7 patches
+    of a noisy 128x128 image (overlap 4) against a 64-row operator peaks at
+    no more than 7.5 N-by-h float64 arrays, the working state and trip
+    buffers plus x."""
+    noisy = imageio.add_gaussian_noise(texture_128, 15.0, seed=1)
+    Y = extract_matrix(noisy / 255.0, build_grid(128, 128, 7, 4))
+    Y -= Y.mean(axis=0)
+    cfg = FusionConfig()._coding_config()
+    n_cols, h = Y.shape[1], trained_operator.h
+    assert (n_cols, h) == (1764, 64)
+    tracemalloc.start()
+    try:
+        learn.cosparse_code_many(trained_operator, Y, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * n_cols * h * 8
 
 
 def test_batch_column_order_does_not_matter():
@@ -438,7 +456,10 @@ def test_update_row_eigensolves_converge_on_training_grams(texture_128, cartoon_
         assert J.size > 0
         YJ = Y[:, J]
         S = YJ @ YJ.T
-        (lam,), (vec,) = sym_eig_smallest(S[None])
+        (vec,) = sym_eig_smallest(S[None])
+        lam = vec @ S @ vec  # the Rayleigh quotient
+        assert lam == pytest.approx(np.linalg.eigvalsh(S)[0],
+                                    abs=1e-12 * np.linalg.norm(S))
         assert np.linalg.norm(S @ vec - lam * vec) <= 1e-12 * np.linalg.norm(S)
 
 
@@ -705,7 +726,7 @@ def _per_row_reference_train(Y, cfg, h):
         for j in range(h):
             J = np.flatnonzero(np.abs(op.matrix[j] @ X) <= cfg.cosupport_tol)
             YJ = Y[:, J]  # gathered once: YJ @ YJ.T is one exactly symmetric syrk
-            row = sym_eig_smallest((YJ @ YJ.T)[None])[1][0] if J.size else None
+            row = sym_eig_smallest((YJ @ YJ.T)[None])[0] if J.size else None
             if (row is None or np.abs(np.delete(op.matrix, j, axis=0) @ row).max()
                     > learn.DUPLICATE_ROW_COSINE):
                 row = learn._random_unit_row(reinit_rng, Y.shape[0])

@@ -86,15 +86,21 @@ def _shifted_power_iteration_smallest(S, iters=20_000, seed=0):
     return lam, v
 
 
+def _rayleigh(S, vec):
+    return float(vec @ S @ vec)
+
+
 def test_sym_eig_smallest_diagonal():
-    (lam,), (vec,) = linalg.sym_eig_smallest(np.diag([3.0, 1.0, 2.0])[None])
-    assert lam == pytest.approx(1.0, abs=1e-12)
+    S = np.diag([3.0, 1.0, 2.0])
+    (vec,) = linalg.sym_eig_smallest(S[None])
+    assert _rayleigh(S, vec) == pytest.approx(np.linalg.eigvalsh(S)[0], abs=1e-12)
     np.testing.assert_allclose(np.abs(vec), [0.0, 1.0, 0.0], atol=1e-10)
 
 
 def test_sym_eig_smallest_closed_form_2x2():
-    (lam,), (vec,) = linalg.sym_eig_smallest(np.array([[[2.0, 1.0], [1.0, 2.0]]]))
-    assert lam == pytest.approx(1.0, abs=1e-12)
+    S = np.array([[2.0, 1.0], [1.0, 2.0]])
+    (vec,) = linalg.sym_eig_smallest(S[None])
+    assert _rayleigh(S, vec) == pytest.approx(np.linalg.eigvalsh(S)[0], abs=1e-12)
     expected = np.array([1.0, -1.0]) / np.sqrt(2)
     assert min(np.linalg.norm(vec - expected), np.linalg.norm(vec + expected)) < 1e-10
 
@@ -103,9 +109,12 @@ def test_sym_eig_smallest_matches_shifted_power_iteration():
     rng = np.random.default_rng(11)
     for trial in range(5):
         S = _gram(rng.standard_normal((6, 9)))
-        (lam,), (vec,) = linalg.sym_eig_smallest(S[None])
+        (vec,) = linalg.sym_eig_smallest(S[None])
         lam_ref, _ = _shifted_power_iteration_smallest(S, seed=trial)
+        lam = _rayleigh(S, vec)
         assert lam == pytest.approx(lam_ref, abs=1e-8 * np.linalg.norm(S))
+        assert lam == pytest.approx(np.linalg.eigvalsh(S)[0],
+                                    abs=1e-12 * np.linalg.norm(S))
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -114,7 +123,10 @@ def test_sym_eig_residual_up_to_64():
     for n in (3, 16, 33, 64):
         A = rng.standard_normal((n, n))
         S = (A + A.T) / 2
-        (lam,), (vec,) = linalg.sym_eig_smallest(S[None])
+        (vec,) = linalg.sym_eig_smallest(S[None])
+        lam = _rayleigh(S, vec)
+        assert lam == pytest.approx(np.linalg.eigvalsh(S)[0],
+                                    abs=1e-12 * np.linalg.norm(S))
         resid = np.linalg.norm(S @ vec - lam * vec)
         assert resid <= 1e-8 * np.linalg.norm(S)
 
@@ -122,7 +134,10 @@ def test_sym_eig_residual_up_to_64():
 def test_sym_eig_smallest_is_lower_bound_on_rayleigh():
     rng = np.random.default_rng(9)
     S = _gram(rng.standard_normal((12, 20)))
-    (lam,), _ = linalg.sym_eig_smallest(S[None])
+    (vec,) = linalg.sym_eig_smallest(S[None])
+    lam = _rayleigh(S, vec)
+    assert lam == pytest.approx(np.linalg.eigvalsh(S)[0],
+                                abs=1e-12 * np.linalg.norm(S))
     U = rng.standard_normal((1000, 12))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     rayleigh = np.einsum("ij,jk,ik->i", U, S, U)
@@ -150,11 +165,10 @@ def test_sym_eig_smallest_stack_is_bit_equal_to_per_matrix_calls(m):
         M = rng.standard_normal((m, cols))
         stack.append(_gram(M - M.mean(axis=0)))
         stack.append(_gram(M) * 10.0 ** rng.integers(-3, 4))
-    lams, vecs = linalg.sym_eig_smallest(np.stack(stack))
-    assert lams.shape == (len(stack),) and vecs.shape == (len(stack), m)
-    for S, lam, vec in zip(stack, lams, vecs):
-        lam_one, vec_one = linalg.sym_eig_smallest(S[None])
-        assert lam.tobytes() == lam_one.tobytes()
+    vecs = linalg.sym_eig_smallest(np.stack(stack))
+    assert vecs.shape == (len(stack), m)
+    for S, vec in zip(stack, vecs):
+        (vec_one,) = linalg.sym_eig_smallest(S[None])
         assert vec.tobytes() == vec_one.tobytes()
 
 
@@ -163,7 +177,7 @@ def test_sym_eig_smallest_stack_vectors_own_their_memory():
     LAPACK's k-by-m-by-m output alive."""
     rng = np.random.default_rng(9)
     stack = np.stack([_gram(rng.standard_normal((6, 10))) for _ in range(4)])
-    _, vecs = linalg.sym_eig_smallest(stack)
+    vecs = linalg.sym_eig_smallest(stack)
     assert vecs.base is None and vecs.flags.owndata
     assert vecs.shape == (4, 6)
 
