@@ -68,11 +68,11 @@ def read_pgm(data):
     fields = []
     for name in ("width", "height", "maxval"):
         token, pos = _next_token(data, pos)
-        try:
-            value = int(token)
-        except ValueError:
+        # ASCII digits only: int() would also take a sign and '_' separators.
+        if not token.isdigit():
             raise PgmFormatError(f"invalid {name} token {token!r}",
-                                 pos - len(token)) from None
+                                 pos - len(token))
+        value = int(token)
         if value <= 0:
             raise PgmFormatError(f"{name} must be positive, got {value}",
                                  pos - len(token))

@@ -25,7 +25,8 @@ columns):
   residual reaches the tolerance, or at the iteration cap. The working
   state is signal-major: one C-ordered N-by-h array per quantity, a row per
   signal, kept in that order for the whole call and written into buffers
-  that are reused from trip to trip. Retired columns ride along in the
+  that are reused from trip to trip, the clip included, so no trip
+  allocates an N-by-h array. Retired columns ride along in the
   working arrays until fewer than half of them are live, and are then
   dropped in one compaction, a gather of the live rows.
 * row update: for each operator row w, collect the coded columns nearly
@@ -266,10 +267,12 @@ def cosparse_code_many(op, Y, cfg):
     The working state is signal-major: Z, T, C and the trip buffers are
     C-ordered N-by-h arrays, one row per working column, so every pass runs
     over contiguous memory and the product is T K^T, written into a buffer
-    with ``np.matmul(..., out=)``. The T and K T buffers swap roles each
-    trip, and the residual's buffer holds the next trip's P; only the clip
-    allocates a new N-by-h array. The first trip has T = 0 and skips the
-    product. ``clip_box`` is given the h-by-N view P^T.
+    with ``np.matmul(..., out=)``. ``clip_box`` clips the h-by-N view P^T
+    in place, so P's buffer holds the new C; the residual goes into the old
+    C's buffer, which then takes the next trip's P. With the T and K T
+    buffers swapping roles each trip, the loop holds five N-by-h arrays
+    (Z, T, C, K T, P) plus X, and no trip allocates another. The first trip
+    has T = 0 and skips the product.
 
     A column retires as soon as its primal residual ||W x - v|| drops to
     ``cfg.admm_tol``, or at ``cfg.max_admm_iters``. Its x = y - M T is
@@ -280,7 +283,8 @@ def cosparse_code_many(op, Y, cfg):
     arrays, which keep the same memory order. So each column behaves as if
     it were solved on its own, and the gathers happen a few times per call,
     not at every retirement. X is the m-by-N view of an N-row array, so a
-    retiring column is one row write.
+    retiring column is one row write, and a retiring batch's y - M T is
+    formed in the buffer of its product.
     A column whose state turns non-finite keeps a non-finite T (K has a
     positive diagonal), so its x at retirement is non-finite and raises
     ``NumericalFailure``.
@@ -313,7 +317,7 @@ def cosparse_code_many(op, Y, cfg):
     # Working set, signal-major: row i of the C-ordered N-by-h arrays holds
     # the state of column idx[i]. T is z - u, the x-step's right-hand side;
     # C is -d, the dual clipped to the box [-tau, tau]. KT and P are trip
-    # buffers; T and KT swap roles every trip.
+    # buffers; T and KT swap roles every trip, and so do C and P.
     idx = np.arange(n_cols)
     live = np.ones(n_cols, bool)
     n_live = n_cols
@@ -327,7 +331,7 @@ def cosparse_code_many(op, Y, cfg):
                 np.matmul(T, K.T, out=KT)  # z - W x
             np.subtract(Za, KT, out=P)
             P += C  # W x - d
-            Cn = clip_box(P.T, tau).T
+            Cn = clip_box(P.T, tau).T  # in P's buffer
             R = np.subtract(Cn, C, out=C)  # the primal residual W x - v
             r = np.sqrt(np.einsum("ij,ij->i", R, R))
 
@@ -337,7 +341,8 @@ def cosparse_code_many(op, Y, cfg):
             if done.size:
                 cols = idx[done]
                 # Where a column's state went non-finite, so did its T.
-                Xd = Y.T[cols] - T[done] @ M.T
+                Xd = T[done] @ M.T
+                np.subtract(Y.T[cols], Xd, out=Xd)
                 if not np.isfinite(Xd).all():
                     raise NumericalFailure("cosparse coding diverged", t)
                 X.T[cols] = Xd
@@ -349,8 +354,8 @@ def cosparse_code_many(op, Y, cfg):
                     break
             KT += Cn
             KT += R
-            # The next P goes in the residual's buffer, so the next clip can
-            # take the one this P frees.
+            # The new C stays in P's buffer; the next P goes in the
+            # residual's.
             T, KT, C, P = KT, T, Cn, R
             # Retired columns ride along until fewer than half are live.
             if 2 * n_live < idx.size:

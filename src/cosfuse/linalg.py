@@ -2,10 +2,10 @@
 
 Matrices and vectors are plain numpy float64 arrays (row-major). The few
 routines here are exactly what the coding and row-update stages need:
-the box clip and soft thresholding, the eigenvector of the smallest
-eigenvalue of each matrix in a stack of symmetric matrices (LAPACK ``eigh``
-behind an input check), the squared spectral norm, and the matrix text
-format.
+the box clip, which clips its argument in place, the eigenvector of the
+smallest eigenvalue of each matrix in a stack of symmetric matrices (LAPACK
+``eigh`` behind an input check), the squared spectral norm, and the matrix
+text format.
 
 It is also the one home of the three input checks the other modules share:
 ``_as_matrix`` (a nonempty, finite, 2-d float array: an image, an
@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "clip_box",
-    "soft_threshold",
     "sym_eig_smallest",
     "spectral_norm_sq",
     "matrix_text",
@@ -67,22 +66,13 @@ def _check_setting(name, value, positive=False):
 
 
 def clip_box(v, tau):
-    """Componentwise projection onto the box [-tau, tau]. Accepts arrays of
-    any shape; ``tau`` must be a nonnegative scalar (NaN is rejected too)."""
+    """Componentwise projection of the float array ``v`` onto the box
+    [-tau, tau], in place; returns ``v``. Accepts arrays of any shape and
+    memory order; ``tau`` must be a nonnegative scalar (NaN is rejected
+    too)."""
     if not tau >= 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
-    return np.clip(v, -tau, tau)
-
-
-def soft_threshold(v, tau):
-    """Componentwise shrinkage: sign(v) * max(|v| - tau, 0).
-
-    Computed as ``v - clip_box(v, tau)``, which gives the same values bit
-    for bit except for the sign of a zero result. Accepts arrays of any
-    shape; ``tau`` must be a nonnegative scalar (NaN is rejected too).
-    """
-    v = np.asarray(v, dtype=np.float64)
-    return v - clip_box(v, tau)
+    return np.clip(v, -tau, tau, out=v)
 
 
 def _check_symmetric(S):

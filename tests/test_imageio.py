@@ -44,6 +44,19 @@ def test_pgm_bad_maxval_offset_is_the_token_start():
     assert err.value.offset == 7
 
 
+@pytest.mark.parametrize("data, name, offset", [
+    (b"P5\n1_6 1\n255\n" + bytes(16), "width", 3),
+    (b"P5\n+2 2\n255\n" + bytes(4), "width", 3),
+    (b"P5\n2 2\n0_255\n" + bytes(4), "maxval", 7),
+], ids=["separator-in-width", "signed-width", "separator-in-maxval"])
+def test_pgm_header_numbers_are_ascii_digits_only(data, name, offset):
+    """As in netpbm, a header number is a run of ASCII digits: no sign and
+    no '_' separators, which Python's ``int`` would accept."""
+    with pytest.raises(imageio.PgmFormatError, match=f"invalid {name} token") as err:
+        imageio.read_pgm(data)
+    assert err.value.offset == offset
+
+
 def test_pgm_write_clamps_and_rounds():
     img = np.array([[-4.0, 920.0], [1.4, 1.5]])
     out = imageio.read_pgm(imageio.write_pgm(img))

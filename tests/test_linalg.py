@@ -2,60 +2,33 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cosfuse import linalg
 
 
-def finite_vectors(max_len=12):
-    return st.lists(
-        st.floats(min_value=-100, max_value=100, allow_nan=False),
-        min_size=1, max_size=max_len,
-    ).map(np.array)
-
-
 # ---------------------------------------------------------------------------
-# soft_threshold
+# clip_box
 
-def test_soft_threshold_componentwise():
-    out = linalg.soft_threshold(np.array([2.0, -0.3, 0.7]), 0.5)
-    np.testing.assert_allclose(out, [1.5, 0.0, 0.2], atol=1e-15)
+@pytest.mark.parametrize("tau, expected", [
+    (1.0, [[-1.0, -0.5, 0.25], [1.0, 1.0, -1.0]]),
+    (0.0, [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+])
+@pytest.mark.parametrize("transpose", [False, True], ids=["array", "view"])
+def test_clip_box_clips_its_argument_in_place(tau, expected, transpose):
+    """It returns its argument, clipped; the coder hands it the transposed
+    view of an N-by-h buffer."""
+    base = np.array([[-3.0, -0.5, 0.25], [2.0, 1.0, -1.0]])
+    v = base.T if transpose else base
+    assert linalg.clip_box(v, tau) is v
+    np.testing.assert_array_equal(base, expected)
 
 
-def test_soft_threshold_zero_tau_is_identity():
-    v = np.array([1.5, -2.0, 0.0, 3.25])
-    np.testing.assert_array_equal(linalg.soft_threshold(v, 0.0), v)
-
-
-def test_soft_threshold_full_shrinkage():
-    v = np.array([0.5, -1.0, 0.25])
-    np.testing.assert_array_equal(linalg.soft_threshold(v, 1.0), np.zeros(3))
-
-
-def test_soft_threshold_rejects_negative_tau():
+def test_clip_box_rejects_negative_or_nan_tau():
+    v = np.array([1.0, -2.0, 0.5])
     for tau in (-0.1, -1.0, float("nan")):
         with pytest.raises(ValueError):
-            linalg.soft_threshold(np.array([1.0, -2.0, 0.5]), tau)
-
-
-def test_soft_threshold_sign_preserved():
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(100)
-    out = linalg.soft_threshold(v, 0.3)
-    nz = out != 0
-    assert np.all(np.sign(out[nz]) == np.sign(v[nz]))
-    np.testing.assert_allclose(np.abs(out), np.maximum(np.abs(v) - 0.3, 0.0))
-
-
-@settings(max_examples=50, deadline=None)
-@given(finite_vectors(), finite_vectors(),
-       st.floats(min_value=0, max_value=10, allow_nan=False))
-def test_soft_threshold_nonexpansive(a, b, tau):
-    n = min(a.size, b.size)
-    a, b = a[:n], b[:n]
-    lhs = np.linalg.norm(linalg.soft_threshold(a, tau) - linalg.soft_threshold(b, tau))
-    assert lhs <= np.linalg.norm(a - b) + 1e-12
+            linalg.clip_box(v, tau)
+    np.testing.assert_array_equal(v, [1.0, -2.0, 0.5])
 
 
 # ---------------------------------------------------------------------------
