@@ -44,7 +44,7 @@ from .fuse import (FusionConfig, activity_text, diagnostics_text,
                    fuse as fuse_images)
 from .learn import (AnalysisOperator, NumericalFailure, TrainConfig,
                     sample_training_patches, train)
-from .linalg import _as_images, _check_setting, matrix_text
+from .linalg import _as_images, matrix_text
 from .patches import patch_side
 
 EXIT_OK = 0
@@ -252,7 +252,6 @@ _PAIR_OPTIONS = {"sigma_b": 2.0}
 
 def _multifocus_pair(truth, cfgv):
     """The synth_multifocus pair of ``truth``, split at the middle column."""
-    _check_setting("sigma-b", cfgv["sigma_b"])
     return imageio.synth_multifocus(truth, cfgv["sigma_b"], truth.shape[1] // 2)
 
 

@@ -135,42 +135,34 @@ def add_gaussian_noise(image, sigma, seed):
     return image + rng.normal(0.0, sigma, size=image.shape)
 
 
-def gaussian_kernel(sigma):
-    """Normalized truncated Gaussian kernel with radius ceil(3*sigma)."""
-    _check_setting("sigma", sigma)
-    if sigma == 0:
-        return np.ones(1)
-    radius = int(math.ceil(3.0 * sigma))
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(offsets ** 2) / (2.0 * sigma * sigma))
-    return kernel / kernel.sum()
-
-
-def _convolve_axis(image, kernel, axis):
-    radius = (kernel.size - 1) // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (radius, radius)
-    padded = np.pad(image, pad, mode="symmetric")
-    out = np.zeros_like(image)
-    length = image.shape[axis]
-    for k, w in enumerate(kernel):
-        if axis == 0:
-            out += w * padded[k:k + length, :]
-        else:
-            out += w * padded[:, k:k + length]
-    return out
-
-
 def gaussian_blur(image, sigma_b):
     """Separable Gaussian blur with symmetric (reflective) boundary handling.
 
-    ``sigma_b = 0`` returns a copy of the input unchanged.
+    The kernel is exp(-k^2 / (2 sigma_b^2)) for |k| <= ceil(3 sigma_b),
+    normalized to sum 1. ``sigma_b = 0`` returns a copy of the input; a
+    ``sigma_b`` whose square underflows leaves every pixel as it is.
     """
     image = _as_matrix(image, "image")
-    kernel = gaussian_kernel(sigma_b)
-    if kernel.size == 1:
+    _check_setting("sigma_b", sigma_b)
+    if sigma_b == 0:
         return image.copy()
-    return _convolve_axis(_convolve_axis(image, kernel, 0), kernel, 1)
+    radius = math.ceil(3.0 * sigma_b)
+    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kernel = np.exp(-(offsets ** 2) / (2.0 * sigma_b * sigma_b))
+    kernel[radius] = 1.0  # exp(-0/s), also where 2 sigma_b^2 underflows to 0
+    kernel /= kernel.sum()
+    # One pass down axis 0, then the same pass on the transpose for axis 1.
+    # np.pad and zeros_like keep the transpose's memory order, so the second
+    # pass runs over contiguous rows and its transpose is C-ordered.
+    out = image
+    for _ in range(2):
+        padded = np.pad(out, [(radius, radius), (0, 0)], mode="symmetric")
+        out = np.zeros_like(out)
+        for k, w in enumerate(kernel):
+            out += w * padded[k:k + out.shape[0]]
+        out = out.T
+    return np.ascontiguousarray(out)
 
 
 def synth_multifocus(truth, sigma_b, split):

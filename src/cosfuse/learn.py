@@ -6,29 +6,12 @@ columns):
 * cosparse coding (``cosparse_code_many``, the one coding entry point; a
   single signal is a one-column Y): for each column y, minimize
   ``0.5 * ||x - y||^2 + lam * ||W x||_1`` over x, where W is the current
-  operator. The l1 term is split off with an auxiliary variable v = W x and
-  the problem is solved by ADMM with scaled multipliers d and the penalty
-  mu = 1 (``TrainConfig.mu``, a solver constant: it moves the path, not the
-  optimum). The x-subproblem is a strongly convex quadratic with the fixed
-  matrix A = I + mu * W^T W, inverted once per coding call. Its exact
-  solution is the correction
-  x = y - M (W y - v - d) with M = mu A^-1 W^T, so the iteration runs on
-  W x = W y - W M (W y - v - d) alone, one h-by-h product per column, and
-  x is formed only when its column retires. That is cheaper than iterating
-  on x while h < (1 + sqrt 3) m, which holds for every operator this
-  package builds. The v-step (soft thresholding at lam/mu) and the d-step
-  reduce to one projection: the new -d is W x - d clipped to the box
-  [-lam/mu, lam/mu], v is what the clip cut off, and the primal residual
-  W x - v is the change in -d. So the loop carries only W y - v - d and the
-  clipped dual, and never forms v or d: a column returns x, its last primal
-  residual and its iteration count when it retires, as soon as its primal
-  residual reaches the tolerance, or at the iteration cap. The working
-  state is signal-major: one C-ordered N-by-h array per quantity, a row per
-  signal, kept in that order for the whole call and written into buffers
-  that are reused from trip to trip, the clip included, so no trip
-  allocates an N-by-h array. Retired columns ride along in the
-  working arrays until fewer than half of them are live, and are then
-  dropped in one compaction, a gather of the live rows.
+  operator, by ADMM with an exact x-step (``(I + mu W^T W)^-1`` formed
+  once per call; the penalty mu = 1 is a solver constant). A column
+  retires, returning x, its last primal residual and its iteration count,
+  once its residual reaches the tolerance or at the iteration cap.
+  ``cosparse_code_many``'s docstring derives the iteration and its memory
+  layout.
 * row update: for each operator row w, collect the coded columns nearly
   orthogonal to it and replace w with the unit vector minimizing the summed
   squared inner products against the corresponding training columns, i.e.

@@ -132,22 +132,31 @@ def matrix_text(M, comments=()):
 
 def load_matrix_text(path):
     """Read a matrix in the :func:`matrix_text` format; comment lines are
-    skipped."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
+    skipped. What that format never holds (a non-ASCII byte, a sign on a
+    dimension, a '_' digit separator) is a ``MatrixFormatError`` naming
+    ``path``."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(
+            f"{path}: non-ASCII byte at offset {exc.start}") from exc
     body = [s for s in map(str.strip, raw) if s and not s.startswith("#")]
     if not body:
         raise MatrixFormatError(f"{path}: no dimension line found")
     dims = body[0].split()
     if len(dims) != 2:
         raise MatrixFormatError(f"{path}: dimension line must be 'rows cols'")
-    try:
-        rows, cols = int(dims[0]), int(dims[1])
-    except ValueError as exc:
-        raise MatrixFormatError(f"{path}: bad dimension line {body[0]!r}") from exc
+    # ASCII digits only: int() would also take a sign and '_' separators.
+    if not (dims[0].isdigit() and dims[1].isdigit()):
+        raise MatrixFormatError(f"{path}: bad dimension line {body[0]!r}")
+    rows, cols = int(dims[0]), int(dims[1])
     if rows <= 0 or cols <= 0:
         raise MatrixFormatError(f"{path}: dimensions must be positive")
-    values = " ".join(body[1:]).split()
+    text = " ".join(body[1:])
+    if "_" in text:  # float() would read 1_0 as 10
+        raise MatrixFormatError(f"{path}: '_' in a matrix entry")
+    values = text.split()
     if len(values) != rows * cols:
         raise MatrixFormatError(
             f"{path}: expected {rows * cols} values, found {len(values)}"

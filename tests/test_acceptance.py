@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (ACCEPTANCE_LINES, make_planted_clusters, make_scene,
-                      make_texture)
+from conftest import (ACCEPTANCE_LINES, admm_direct_oracle,
+                      make_planted_clusters, make_scene, make_texture)
 from cosfuse import imageio, metrics
 from cosfuse.cli import EXIT_OK, main
 from cosfuse.fuse import FusionConfig, fuse
@@ -48,21 +48,8 @@ def test_criterion_1_solver_oracle_equivalence():
         lam = lams[trial % 3]
         cfg = TrainConfig(lam=lam, admm_tol=1e-8, max_admm_iters=2000)
         X, _, _, _, _ = cosparse_code_many(op, y[:, None], cfg)
-        # oracle: ADMM with an exact x-update by direct elimination
         W = op.matrix
-        A = np.eye(49) + cfg.mu * (W.T @ W)
-        A_inv = np.linalg.inv(A)
-        x = y.copy()
-        v = W @ x
-        d = np.zeros(64)
-        for _ in range(2000):
-            x = A_inv @ (y + cfg.mu * (W.T @ (v + d)))
-            Wx = W @ x
-            shift = Wx - d
-            v = np.sign(shift) * np.maximum(np.abs(shift) - lam / cfg.mu, 0.0)
-            d = d - (Wx - v)
-            if np.linalg.norm(Wx - v) <= 1e-8:
-                break
+        x = admm_direct_oracle(W, y, lam, cfg.mu, 2000, 1e-8)
         f_mine = _objective(W, X[:, 0], y, lam)
         f_ref = _objective(W, x, y, lam)
         worst = max(worst, abs(f_mine - f_ref) / abs(f_ref))

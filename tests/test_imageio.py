@@ -199,6 +199,15 @@ def test_blur_zero_sigma_identity():
     np.testing.assert_array_equal(imageio.gaussian_blur(img, 0.0), img)
 
 
+@pytest.mark.parametrize("sigma_b", [1e-160, 1e-200, 1e-320])
+def test_blur_underflowing_sigma_is_identity(sigma_b):
+    """Where 2 sigma_b^2 is subnormal or underflows to 0, the centre tap is
+    still exp(-0) = 1 and the outer taps 0: the input comes back exactly,
+    with no floating-point warning (an error under this suite's filter)."""
+    img = np.random.default_rng(2).uniform(-5, 255, (10, 12))
+    np.testing.assert_array_equal(imageio.gaussian_blur(img, sigma_b), img)
+
+
 def test_blur_constant_unchanged():
     img = np.full((9, 9), 77.0)
     np.testing.assert_allclose(imageio.gaussian_blur(img, 1.5), img, atol=1e-12)

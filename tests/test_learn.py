@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import inf_in_first_column_on_third_call, make_planted_clusters
+from conftest import (admm_direct_oracle, inf_in_first_column_on_third_call,
+                      make_planted_clusters)
 from cosfuse import imageio, learn
 from cosfuse.fuse import FusionConfig
 from cosfuse.linalg import sym_eig_smallest
@@ -18,24 +19,6 @@ from cosfuse.patches import build_grid, extract_matrix
 
 def _objective(W, x, y, lam):
     return 0.5 * np.sum((x - y) ** 2) + lam * np.abs(W @ x).sum()
-
-
-def admm_direct_oracle(W, y, lam, mu, max_iters, tol):
-    """Reference ADMM whose x-update solves the normal equations exactly."""
-    h, m = W.shape
-    A = np.eye(m) + mu * (W.T @ W)
-    x = y.copy()
-    v = W @ x
-    d = np.zeros(h)
-    for _ in range(max_iters):
-        x = np.linalg.solve(A, y + mu * (W.T @ (v + d)))
-        Wx = W @ x
-        shift = Wx - d
-        v = np.sign(shift) * np.maximum(np.abs(shift) - lam / mu, 0.0)
-        d = d - (Wx - v)
-        if np.linalg.norm(Wx - v) <= tol:
-            break
-    return x
 
 
 # ---------------------------------------------------------------------------

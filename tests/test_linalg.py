@@ -229,6 +229,18 @@ def test_matrix_text_rejects_bad_dims(tmp_path):
         linalg.load_matrix_text(path)
 
 
+@pytest.mark.parametrize("data", [
+    b"+2 1\n1\n2\n",          # a signed dimension
+    b"2 1\n1_0\n2\n",         # a '_' digit separator in an entry
+    b"# h\xe9\n2 1\n1\n2\n",  # a non-ASCII byte
+], ids=["signed-dim", "underscore", "non-ascii"])
+def test_load_matrix_text_rejects_what_matrix_text_never_writes(tmp_path, data):
+    path = tmp_path / "odd.txt"
+    path.write_bytes(data)
+    with pytest.raises(linalg.MatrixFormatError, match="odd.txt"):
+        linalg.load_matrix_text(path)
+
+
 def test_matrix_text_golden():
     """The exact bytes of the format: 17 significant digits, %g style, so
     -0.0 keeps its sign and integers print without a point."""
