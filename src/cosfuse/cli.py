@@ -8,9 +8,8 @@ and default, plus a few command-only keys (such as ``h``, ``sigma``,
 the operator: n is the square root of its signal dimension m.
 synth and sweep share one multi-focus pair option, ``sigma_b``; the pair
 splits at the middle column.
-Each option is a ``--key`` flag and a ``key = value`` line of the file given
-by ``--config`` ('#' starts a comment); precedence is defaults, then config
-file, then command-line flags. Unknown config keys are rejected before any
+Each option is a ``--key`` flag (underscores become dashes) whose argparse
+default is the option's default; an unknown flag exits 2 before any
 computation starts.
 
 Exit codes, set by ``main`` alone: 0 success; 3 numerical failure
@@ -97,22 +96,6 @@ def _atomic_write(*outputs):
         raise
 
 
-def _load_config_file(path):
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}"
-                )
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
-    return values
-
-
 def _option_fields(cls, renames):
     """(field, option key) for each field of ``cls`` that is an option:
     ``renames`` maps a field name to its option key, or to None to leave the
@@ -129,29 +112,8 @@ def _options(cls, **renames):
 
 
 def _make_config(cls, cfgv, **renames):
-    """Build ``cls`` from merged option values keyed as ``_options`` keys them."""
+    """Build ``cls`` from option values keyed as ``_options`` keys them."""
     return cls(**{f.name: cfgv[key] for f, key in _option_fields(cls, renames)})
-
-
-def _merge_config(defaults, ns):
-    """defaults < config file < explicit flags; unknown file keys rejected.
-    A config value is parsed with the type of its default."""
-    merged = dict(defaults)
-    if ns.config:
-        for key, raw in _load_config_file(ns.config).items():
-            if key not in defaults:
-                raise ValueError(f"unknown config key {key!r} in {ns.config}")
-            try:
-                merged[key] = type(defaults[key])(raw)
-            except ValueError:
-                raise ValueError(
-                    f"bad value for config key {key!r}: {raw!r}"
-                ) from None
-    for key in defaults:
-        flag = getattr(ns, key)
-        if flag is not None:
-            merged[key] = flag
-    return merged
 
 
 def _validate_threads(threads):
@@ -171,9 +133,8 @@ OPERATOR_REDUNDANCY = _TRAIN_OPTIONS["h"] / _TRAIN_OPTIONS["m"]
 
 
 def cmd_train(ns):
-    cfgv = _merge_config(_TRAIN_OPTIONS, ns)
-    _validate_threads(cfgv["threads"])
-    n = patch_side(cfgv["m"])
+    _validate_threads(ns.threads)
+    n = patch_side(ns.m)
     paths = sorted(
         os.path.join(ns.images, f) for f in os.listdir(ns.images)
         if f.lower().endswith(".pgm")
@@ -181,16 +142,16 @@ def cmd_train(ns):
     if not paths:
         raise ValueError(f"no .pgm images in {ns.images}")
     images = [imageio.load_pgm(p) for p in paths]
-    cfg = _make_config(TrainConfig, cfgv)
-    Y = sample_training_patches(images, n, cfgv["patches"], cfgv["seed"])
-    operator, report = train(Y, cfg, cfgv["h"])
+    cfg = _make_config(TrainConfig, vars(ns))
+    Y = sample_training_patches(images, n, ns.patches, ns.seed)
+    operator, report = train(Y, cfg, ns.h)
 
     _atomic_write((ns.out, operator.to_text()))
 
     print(f"operator={ns.out}")
     print(f"h={operator.h}")
     print(f"m={operator.m}")
-    print(f"patches={cfgv['patches']}")
+    print(f"patches={ns.patches}")
     print(f"sweeps={cfg.sweeps}")
     print("objective_per_sweep=" + ",".join(
         f"{v:.9g}" for v in report.objective_per_sweep))
@@ -218,13 +179,12 @@ def _derived_path(out, suffix):
 
 
 def cmd_fuse(ns):
-    cfgv = _merge_config(_FUSE_OPTIONS, ns)
-    _validate_threads(cfgv["threads"])
+    _validate_threads(ns.threads)
     images = _as_images([imageio.load_pgm(p) for p in ns.inputs], ns.inputs)
     operator = AnalysisOperator.load(ns.op)
-    images = [imageio.add_gaussian_noise(img, cfgv["sigma"], (cfgv["seed"], k))
+    images = [imageio.add_gaussian_noise(img, ns.sigma, (ns.seed, k))
               for k, img in enumerate(images)]
-    cfg = _make_config(FusionConfig, cfgv, **_FUSE_RENAMES)
+    cfg = _make_config(FusionConfig, vars(ns), **_FUSE_RENAMES)
     result = fuse_images(images, operator, cfg)
 
     winner_path = ns.winner_map or _derived_path(ns.out, "_winners.txt")
@@ -250,15 +210,19 @@ def cmd_fuse(ns):
 _PAIR_OPTIONS = {"sigma_b": 2.0}
 
 
-def _multifocus_pair(truth, cfgv):
-    """The synth_multifocus pair of ``truth``, split at the middle column."""
-    return imageio.synth_multifocus(truth, cfgv["sigma_b"], truth.shape[1] // 2)
+def _multifocus_pair(ns):
+    """The image at ``ns.truth`` and its synth_multifocus pair, split at the
+    middle column, which leaves each side at least one column."""
+    truth = imageio.load_pgm(ns.truth)
+    width = truth.shape[1]
+    if width < 2:
+        raise ValueError(f"{ns.truth}: a multi-focus pair needs a truth at "
+                         f"least 2 columns wide, got width {width}")
+    return truth, *imageio.synth_multifocus(truth, ns.sigma_b, width // 2)
 
 
 def cmd_synth(ns):
-    cfgv = _merge_config(_PAIR_OPTIONS, ns)
-    truth = imageio.load_pgm(ns.truth)
-    left, right = _multifocus_pair(truth, cfgv)
+    truth, left, right = _multifocus_pair(ns)
     _atomic_write((ns.out_truth, imageio.write_pgm(truth)),
                   (ns.out_a, imageio.write_pgm(left)),
                   (ns.out_b, imageio.write_pgm(right)))
@@ -301,22 +265,19 @@ _SWEEP_OPTIONS = {
 
 
 def cmd_sweep(ns):
-    cfgv = _merge_config(_SWEEP_OPTIONS, ns)
-    _validate_threads(cfgv["threads"])
-    tcfg = _make_config(TrainConfig, cfgv, **_SWEEP_TRAIN)
-    base = _make_config(FusionConfig, cfgv, **_SWEEP_FUSE)
-    truth = imageio.load_pgm(ns.truth)
-    left, right = _multifocus_pair(truth, cfgv)
+    _validate_threads(ns.threads)
+    tcfg = _make_config(TrainConfig, vars(ns), **_SWEEP_TRAIN)
+    base = _make_config(FusionConfig, vars(ns), **_SWEEP_FUSE)
+    truth, left, right = _multifocus_pair(ns)
     rows = []
     for n in SWEEP_PATCH_SIZES:
         m = n * n
         h = int(round(m * OPERATOR_REDUNDANCY))
-        Y = sample_training_patches([truth], n, cfgv["train_patches"],
-                                    (cfgv["seed"], n))
+        Y = sample_training_patches([truth], n, ns.train_patches, (ns.seed, n))
         operator, _ = train(Y, tcfg, h)
         for sigma in SWEEP_NOISE_LEVELS:
-            a = imageio.add_gaussian_noise(left, sigma, (cfgv["seed"], n, sigma, 0))
-            b = imageio.add_gaussian_noise(right, sigma, (cfgv["seed"], n, sigma, 1))
+            a = imageio.add_gaussian_noise(left, sigma, (ns.seed, n, sigma, 0))
+            b = imageio.add_gaussian_noise(right, sigma, (ns.seed, n, sigma, 1))
             # The per-patch solve emulates a constrained l1 budget, so the
             # sparsity weight scales with the noise level (the configured
             # value applies at sigma = 15; the noise-free runs need no
@@ -345,11 +306,11 @@ def cmd_sweep(ns):
 # parser / dispatch
 
 def _add_option_flags(p, options):
-    """A ``--key`` flag for each option, typed like its default, and --config."""
+    """A ``--key`` flag for each option, typed like its default."""
     for key, default in options.items():
         p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                       type=type(default), help=f"default: {default}")
-    p.add_argument("--config", help="config file of key = value lines")
+                       type=type(default), default=default,
+                       help=f"default: {default}")
 
 
 @functools.cache

@@ -125,14 +125,20 @@ def save_pgm(path, image):
 def add_gaussian_noise(image, sigma, seed):
     """Add i.i.d. zero-mean Gaussian noise with standard deviation ``sigma``.
 
-    No clamping is applied; downstream solvers see the unclamped values.
+    No clamping is applied; downstream solvers see the unclamped values. A
+    ``sigma`` whose noise overflows a pixel to a non-finite value is a
+    ValueError.
     """
     image = _as_matrix(image, "image")
     _check_setting("sigma", sigma)
     rng = np.random.default_rng(seed)  # a bad seed is bad input at every sigma
     if sigma == 0:
         return image.copy()
-    return image + rng.normal(0.0, sigma, size=image.shape)
+    noisy = image + rng.normal(0.0, sigma, size=image.shape)
+    if not np.isfinite(noisy).all():
+        raise ValueError(f"sigma {sigma} overflows a noisy pixel to a "
+                         "non-finite value")
+    return noisy
 
 
 def gaussian_blur(image, sigma_b):
@@ -140,12 +146,19 @@ def gaussian_blur(image, sigma_b):
 
     The kernel is exp(-k^2 / (2 sigma_b^2)) for |k| <= ceil(3 sigma_b),
     normalized to sum 1. ``sigma_b = 0`` returns a copy of the input; a
-    ``sigma_b`` whose square underflows leaves every pixel as it is.
+    ``sigma_b`` whose square underflows leaves every pixel as it is. A
+    ``sigma_b`` above the image's larger side is a ValueError: the padding
+    grows with it, and a blur that wide already flattens the image to about
+    its mean.
     """
     image = _as_matrix(image, "image")
     _check_setting("sigma_b", sigma_b)
     if sigma_b == 0:
         return image.copy()
+    bound = max(image.shape)
+    if sigma_b > bound:
+        raise ValueError(f"sigma_b must be at most {bound}, the image's "
+                         f"larger side, got {sigma_b}")
     radius = math.ceil(3.0 * sigma_b)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

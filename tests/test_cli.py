@@ -175,25 +175,25 @@ def test_bad_option_values_exit_2_without_output(workdir, tmp_path, argv):
 # Each deleted option with the commands that reject it: the global pass's
 # two options and fuse's patch side ``n``, now the operator's (sweep never
 # had ``n`` and rejects it as any unknown option); the ADMM penalty and the
-# cosupport tolerance, now solver constants; and the pair's split column,
-# now always the middle one.
+# cosupport tolerance, now solver constants; the pair's split column, now
+# always the middle one; and the config file, since every option is a flag.
 _DELETED_OPTIONS = [
     *((cmd, key) for key in ("lambda_global", "global_rounds", "n")
       for cmd in ("fuse", "sweep")),
     *((cmd, key) for key in ("mu", "cosupport_tol")
       for cmd in ("train", "fuse", "sweep")),
     *((cmd, "split") for cmd in ("synth", "sweep")),
+    *((cmd, "config") for cmd in ("train", "fuse", "synth", "sweep")),
 ]
 
 
 @pytest.mark.parametrize("cmd,key", _DELETED_OPTIONS,
-                         ids=[f"{cmd}-{key.replace('_', '-')}"
+                         ids=[f"flag-{cmd}-{key.replace('_', '-')}"
                               for cmd, key in _DELETED_OPTIONS])
-@pytest.mark.parametrize("given_as", ["flag", "config"])
 def test_deleted_option_exits_2_without_output(workdir, tmp_path, capsys,
-                                               given_as, cmd, key):
-    """A deleted option, given as a flag or as a config key, is bad input:
-    stderr names it, and nothing is written."""
+                                               cmd, key):
+    """A deleted option's flag is bad input: stderr names it, and nothing
+    is written."""
     outdir = tmp_path / "out"
     outdir.mkdir()
     if cmd == "synth":
@@ -203,15 +203,9 @@ def test_deleted_option_exits_2_without_output(workdir, tmp_path, capsys,
     else:
         argv = _command_argv(workdir, cmd, outdir / "out.txt")
     flag = "--" + key.replace("_", "-")
-    if given_as == "flag":
-        argv += [flag, "1"]
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = 1\n")
-        argv += ["--config", str(cfg)]
-    assert main(argv) == EXIT_INPUT
+    assert main(argv + [flag, "1"]) == EXIT_INPUT
     captured = capsys.readouterr()
-    assert (flag if given_as == "flag" else repr(key)) in captured.err
+    assert flag in captured.err
     assert captured.out == ""
     assert list(outdir.iterdir()) == []
 
@@ -339,6 +333,25 @@ def test_synth_writes_three_images(workdir, tmp_path):
     np.testing.assert_array_equal(b[:, 32:], t[:, 32:])
 
 
+@pytest.mark.parametrize("cmd", ["synth", "sweep"])
+def test_one_column_truth_exits_2_naming_the_file(tmp_path, capsys, cmd):
+    """A truth 1 pixel wide has no middle column to split a pair at: stderr
+    names the file and its width, and nothing is written."""
+    truth = tmp_path / "column.pgm"
+    imageio.save_pgm(truth, np.arange(8.0).reshape(8, 1))
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    outs = {"synth": ["--out-truth", str(outdir / "t.pgm"),
+                      "--out-a", str(outdir / "a.pgm"),
+                      "--out-b", str(outdir / "b.pgm")],
+            "sweep": ["--out", str(outdir / "sweep.csv")]}[cmd]
+    assert main([cmd, "--truth", str(truth), *outs]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(truth) in err and "width 1" in err
+    assert "split" not in err
+    assert list(outdir.iterdir()) == []
+
+
 def test_fuse_writes_all_artifacts(workdir, tmp_path):
     out = tmp_path / "fused.pgm"
     rc = main(_fuse_args(workdir, out, extra=["--max-admm-iters", "150"]))
@@ -386,6 +399,18 @@ def test_fuse_size_mismatch_exits_2_without_outputs(workdir, tmp_path, capsys):
     assert "small.pgm" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "fused_winners.txt").exists()
+
+
+def test_fuse_noise_overflow_exits_2_naming_sigma(workdir, tmp_path, capsys):
+    """Noise at sigma 1e308 overflows pixels to inf: stderr names sigma, not
+    the finite input file, and nothing is written."""
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    argv = _fuse_args(workdir, outdir / "fused.pgm", extra=["--sigma", "1e308"])
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "sigma" in err and "input 0" not in err
+    assert list(outdir.iterdir()) == []
 
 
 def test_fuse_deterministic_and_thread_invariant(workdir, tmp_path):
@@ -526,32 +551,7 @@ def test_fuse_rejects_a_non_square_operator(workdir, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# config files
-
-def test_config_file_precedence(workdir, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment line\nsweeps = 1\nseed = 11\npatches = 100\n")
-    out1 = tmp_path / "op1.txt"
-    rc = main(["train", "--images", str(workdir["imgdir"]), "--out", str(out1),
-               "--h", "16", "--m", "9", "--config", str(cfg)])
-    assert rc == EXIT_OK
-    capsys.readouterr()
-    # flag overrides the file value
-    out2 = tmp_path / "op2.txt"
-    rc = main(["train", "--images", str(workdir["imgdir"]), "--out", str(out2),
-               "--h", "16", "--m", "9", "--config", str(cfg), "--seed", "12"])
-    assert rc == EXIT_OK
-    assert out1.read_bytes() != out2.read_bytes()
-
-
-def test_config_file_rejects_unknown_key(workdir, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("bogus_key = 3\n")
-    rc = main(["train", "--images", str(workdir["imgdir"]),
-               "--out", str(tmp_path / "op.txt"), "--config", str(cfg)])
-    assert rc == EXIT_INPUT
-    assert "bogus_key" in capsys.readouterr().err
-
+# options
 
 def test_bad_flag_exits_2():
     assert main(["fuse", "--no-such-flag"]) == EXIT_INPUT
@@ -611,11 +611,13 @@ def test_config_option_reaches_its_field(workdir, tmp_path, monkeypatch,
 
     main(argv)
     baseline = seen[-1]
-    assert isinstance(baseline, cls)
+    # With no option flag, each field holds its dataclass default, except
+    # the sweeps of sweep's training (its train_sweeps default is 5); the
+    # sweep's per-cell overlap is 1, FusionConfig's default.
+    assert baseline == (TrainConfig(sweeps=5) if (cmd, cls) == ("sweep", TrainConfig)
+                        else cls())
     value = getattr(baseline, field) + 1
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(f"{key} = {value!r}\n")
-    main(argv + ["--config", str(cfg_file)])
+    main(argv + ["--" + key.replace("_", "-"), repr(value)])
     assert seen[-1] == dataclasses.replace(baseline, **{field: value})
     assert not out.exists()
 

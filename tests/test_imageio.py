@@ -208,6 +208,15 @@ def test_blur_underflowing_sigma_is_identity(sigma_b):
     np.testing.assert_array_equal(imageio.gaussian_blur(img, sigma_b), img)
 
 
+def test_blur_rejects_sigma_above_the_larger_side():
+    """The padding grows with sigma_b, so one wider than the image is bad
+    input, raised before anything is allocated."""
+    img = np.random.default_rng(3).uniform(0, 255, (16, 16))
+    with pytest.raises(ValueError, match="sigma_b must be at most 16"):
+        imageio.gaussian_blur(img, 17.0)
+    assert imageio.gaussian_blur(img, 16.0).shape == img.shape
+
+
 def test_blur_constant_unchanged():
     img = np.full((9, 9), 77.0)
     np.testing.assert_allclose(imageio.gaussian_blur(img, 1.5), img, atol=1e-12)
